@@ -5,12 +5,15 @@
 
 #include "bench_common.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/atomic_file.hh"
 #include "common/interrupt.hh"
@@ -35,6 +38,43 @@ struct BenchFlag
 };
 
 /**
+ * Parse `value` as the number flag `flag` takes: the whole string
+ * must be one finite T (no sign for unsigned T). fatal() naming the
+ * flag and the value otherwise, so "--jobs x" cannot silently become
+ * 0 and "--seed -1" cannot wrap around.
+ */
+template <typename T>
+T
+parseNumber(const char *flag, const std::string &value)
+{
+    T out{};
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+    bool ok = !value.empty() && ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(out);
+    if (!ok) {
+        fatal("flag ", flag, " needs ",
+              std::is_floating_point_v<T> ? "a finite number"
+                                          : "a non-negative integer",
+              ", got '", value, "'");
+    }
+    return out;
+}
+
+/** A flag taking one number of type T, parsed by parseNumber. */
+template <typename T>
+BenchFlag
+numberFlag(const char *name, const char *doc,
+           void (*set)(BenchOptions &, T))
+{
+    return {name, std::is_floating_point_v<T> ? "F" : "N", doc,
+            [name, set](BenchOptions &o, const std::string &v) {
+                set(o, parseNumber<T>(name, v));
+            }};
+}
+
+/**
  * The flag table: name, argument kind, doc string, and effect, in
  * --help order. Adding a runner/bench flag is one entry here.
  */
@@ -46,18 +86,18 @@ benchFlagTable()
          [](BenchOptions &o, const std::string &) {
              o.windowSeconds = 0.008;
          }},
-        {"--window-ms", "F", "window length in milliseconds",
-         [](BenchOptions &o, const std::string &v) {
-             o.windowSeconds = std::atof(v.c_str()) / 1e3;
-         }},
-        {"--scale", "F", "retention time-scale factor",
-         [](BenchOptions &o, const std::string &v) {
-             o.timeScale = std::atof(v.c_str());
-         }},
-        {"--seed", "N", "base RNG seed of every run",
-         [](BenchOptions &o, const std::string &v) {
-             o.seed = std::strtoull(v.c_str(), nullptr, 10);
-         }},
+        numberFlag<double>("--window-ms", "window length in milliseconds",
+                           [](BenchOptions &o, double v) {
+                               o.windowSeconds = v / 1e3;
+                           }),
+        numberFlag<double>("--scale", "retention time-scale factor",
+                           [](BenchOptions &o, double v) {
+                               o.timeScale = v;
+                           }),
+        numberFlag<std::uint64_t>("--seed", "base RNG seed of every run",
+                                  [](BenchOptions &o, std::uint64_t v) {
+                                      o.seed = v;
+                                  }),
         {"--workloads", "a,b,c", "subset of Table VII names",
          [](BenchOptions &o, const std::string &v) {
              std::stringstream ss(v);
@@ -82,12 +122,9 @@ benchFlagTable()
              while (std::getline(ss, name, ','))
                  o.schemes.push_back(name);
          }},
-        {"--jobs", "N",
-         "worker threads (0 = hardware concurrency, 1 = serial)",
-         [](BenchOptions &o, const std::string &v) {
-             o.jobs = static_cast<unsigned>(
-                 std::strtoul(v.c_str(), nullptr, 10));
-         }},
+        numberFlag<unsigned>(
+            "--jobs", "worker threads (0 = hardware concurrency, 1 = serial)",
+            [](BenchOptions &o, unsigned v) { o.jobs = v; }),
         {"--fail-fast", nullptr,
          "cancel queued runs after the first failure",
          [](BenchOptions &o, const std::string &) {
@@ -134,21 +171,22 @@ benchFlagTable()
          }},
         {"--json-out", "F", "bench-report path (benches that emit one)",
          [](BenchOptions &o, const std::string &v) { o.jsonOut = v; }},
-        {"--timeout", "F", "per-run wall-clock budget in seconds",
-         [](BenchOptions &o, const std::string &v) {
-             o.timeoutSeconds = std::atof(v.c_str());
-         }},
-        {"--retries", "N", "re-attempts after a failed/timed-out run",
-         [](BenchOptions &o, const std::string &v) {
-             o.retries = static_cast<unsigned>(
-                 std::strtoul(v.c_str(), nullptr, 10));
-         }},
-        {"--checkpoint-every", "N",
-         "publish a checkpoint every N decay epochs (0 = off)",
-         [](BenchOptions &o, const std::string &v) {
-             o.checkpointEveryEpochs =
-                 std::strtoull(v.c_str(), nullptr, 10);
-         }},
+        numberFlag<double>("--timeout",
+                           "per-run wall-clock budget in seconds",
+                           [](BenchOptions &o, double v) {
+                               o.timeoutSeconds = v;
+                           }),
+        numberFlag<unsigned>("--retries",
+                             "re-attempts after a failed/timed-out run",
+                             [](BenchOptions &o, unsigned v) {
+                                 o.retries = v;
+                             }),
+        numberFlag<std::uint64_t>(
+            "--checkpoint-every",
+            "publish a checkpoint every N decay epochs (0 = off)",
+            [](BenchOptions &o, std::uint64_t v) {
+                o.checkpointEveryEpochs = v;
+            }),
         {"--checkpoint-dir", "DIR",
          "root directory for per-run checkpoint subdirectories",
          [](BenchOptions &o, const std::string &v) {
@@ -169,51 +207,38 @@ benchFlagTable()
          [](BenchOptions &o, const std::string &) {
              o.fault.strict = true;
          }},
-        {"--fault-rate", "F", "transient write-failure probability",
-         [](BenchOptions &o, const std::string &v) {
-             o.fault.transientWriteFailureRate = std::atof(v.c_str());
-         }},
-        {"--fault-seed", "N", "fault-injector RNG seed",
-         [](BenchOptions &o, const std::string &v) {
-             o.fault.seed = std::strtoull(v.c_str(), nullptr, 10);
-         }},
-        {"--fault-wear-threshold", "N",
-         "region write count per stuck-at fault chance (0 = off)",
-         [](BenchOptions &o, const std::string &v) {
-             o.fault.stuckAtWearThreshold =
-                 std::strtoull(v.c_str(), nullptr, 10);
-         }},
-        {"--fault-stall-ms", "F",
-         "periodic refresh-queue stall length in milliseconds",
-         [](BenchOptions &o, const std::string &v) {
-             o.fault.refreshStallSeconds = std::atof(v.c_str()) / 1e3;
-         }},
-        {"--fault-stall-period-ms", "F",
-         "refresh-stall period in milliseconds (0 = 4x length)",
-         [](BenchOptions &o, const std::string &v) {
-             o.fault.refreshStallPeriodSeconds =
-                 std::atof(v.c_str()) / 1e3;
-         }},
-        {"--trace-cache", nullptr,
-         "materialize instruction streams in memory and reuse them",
-         [](BenchOptions &o, const std::string &) {
-             o.traceMode = trace::TraceMode::Materialized;
-         }},
-        {"--no-trace-cache", nullptr,
-         "generate instruction streams inline (per-record RNG)",
-         [](BenchOptions &o, const std::string &) {
-             o.traceMode = trace::TraceMode::Generate;
-         }},
+        numberFlag<double>("--fault-rate",
+                           "transient write-failure probability",
+                           [](BenchOptions &o, double v) {
+                               o.fault.transientWriteFailureRate = v;
+                           }),
+        numberFlag<std::uint64_t>("--fault-seed",
+                                  "fault-injector RNG seed",
+                                  [](BenchOptions &o, std::uint64_t v) {
+                                      o.fault.seed = v;
+                                  }),
+        numberFlag<std::uint64_t>(
+            "--fault-wear-threshold",
+            "region write count per stuck-at fault chance (0 = off)",
+            [](BenchOptions &o, std::uint64_t v) {
+                o.fault.stuckAtWearThreshold = v;
+            }),
+        numberFlag<double>(
+            "--fault-stall-ms",
+            "periodic refresh-queue stall length in milliseconds",
+            [](BenchOptions &o, double v) {
+                o.fault.refreshStallSeconds = v / 1e3;
+            }),
+        numberFlag<double>(
+            "--fault-stall-period-ms",
+            "refresh-stall period in milliseconds (0 = 4x length)",
+            [](BenchOptions &o, double v) {
+                o.fault.refreshStallPeriodSeconds = v / 1e3;
+            }),
         {"--trace-packs", "DIR",
          "replay .rtp packs from DIR (see tools/trace-pack)",
          [](BenchOptions &o, const std::string &v) {
-             o.traceMode = trace::TraceMode::Pack;
              o.tracePackDir = v;
-         }},
-        {"--delay-queues", nullptr,
-         "deliver fixed-latency hops via DelayQueues",
-         [](BenchOptions &o, const std::string &) {
-             o.delayQueues = true;
          }},
     };
     return table;
@@ -238,13 +263,7 @@ printFlagHelp()
 BenchOptions
 BenchOptions::parse(int argc, char **argv)
 {
-    return parse(argc, argv, BenchOptions{});
-}
-
-BenchOptions
-BenchOptions::parse(int argc, char **argv, const BenchOptions &defaults)
-{
-    BenchOptions opts = defaults;
+    BenchOptions opts;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
@@ -322,13 +341,6 @@ BenchOptions::runnerOptions() const
         };
     }
     return ro;
-}
-
-trace::TraceCache &
-globalTraceCache()
-{
-    static trace::TraceCache cache;
-    return cache;
 }
 
 PlanBuilder &
@@ -433,11 +445,7 @@ makeConfig(const trace::Workload &workload, const sys::Scheme &scheme,
     cfg.warmupFraction = opts.warmupFraction;
     cfg.seed = opts.seed;
     cfg.fault = opts.fault;
-    cfg.traceMode = opts.traceMode;
-    if (cfg.traceMode == trace::TraceMode::Materialized)
-        cfg.traceCache = &globalTraceCache();
     cfg.tracePackDir = opts.tracePackDir;
-    cfg.useDelayQueues = opts.delayQueues;
 
     const std::string run_tag =
         tag.empty() ? workload.name + "." + scheme.name() : tag;

@@ -111,34 +111,18 @@ struct BenchOptions
     fault::FaultConfig fault;
 
     /**
-     * Instruction-stream source for every run (--trace-cache /
-     * --no-trace-cache / --trace-packs). All modes are byte-identical
-     * in results; Materialized and Pack trade memory for generation
-     * work, which pays off when many runs replay few streams. The
-     * default everywhere is Generate — the inline generator is cheap
-     * enough that replay only wins on heavily repeated plans.
+     * Directory of .rtp packs every run replays (--trace-packs);
+     * empty = generate inline. See SystemConfig::tracePackDir.
      */
-    trace::TraceMode traceMode = trace::TraceMode::Generate;
-
-    /** Pack directory for TraceMode::Pack (--trace-packs). */
     std::string tracePackDir;
-
-    /**
-     * Route fixed-latency hops through DelayQueues (--delay-queues);
-     * see SystemConfig::useDelayQueues for the equivalence caveat.
-     */
-    bool delayQueues = false;
 
     /**
      * Parse argv against the declarative flag table (see
      * benchFlagTable() in bench_common.cc); --help prints the
-     * generated usage text and exits. `defaults` seeds the options a
-     * bench wants to differ on (e.g. bench_speed turns the trace
-     * cache on) while still letting flags override.
+     * generated usage text and exits. A malformed flag or value is
+     * a fatal() naming it.
      */
     static BenchOptions parse(int argc, char **argv);
-    static BenchOptions parse(int argc, char **argv,
-                              const BenchOptions &defaults);
 
     /** Workloads selected by the options (named + --mix specs). */
     std::vector<trace::Workload> selectedWorkloads() const;
@@ -156,13 +140,6 @@ struct BenchOptions
 
 /** Hook to adjust the SystemConfig before a run (sweep knobs). */
 using ConfigHook = std::function<void(sys::SystemConfig &)>;
-
-/**
- * The process-wide materialized-stream cache every bench run shares
- * when BenchOptions::traceMode is Materialized (runs of one plan
- * reuse each other's generated streams).
- */
-trace::TraceCache &globalTraceCache();
 
 /**
  * Fluent RunPlan construction. A builder replaces the

@@ -26,7 +26,6 @@ Cache::Cache(const CacheConfig &config)
                "' set count must be a power of two");
     lineShift_ = floorLog2(config_.lineBytes);
     lines_.assign(numSets_ * config_.assoc, Line{});
-    policy_ = makeReplacementPolicy(config_.replacement);
 }
 
 std::uint64_t
@@ -70,9 +69,7 @@ Cache::access(Addr addr)
 {
     Line *line = findLine(addr);
     if (line) {
-        if (config_.replacement == ReplacementKind::LRU)
-            line->stamp = ++replClock_;
-        // FIFO and Random leave the stamp untouched.
+        line->stamp = ++replClock_;
         if (statHits_)
             ++*statHits_;
         return true;
@@ -105,18 +102,12 @@ Cache::allocate(Addr addr, int owner)
 
     Victim victim;
     if (!slot) {
-        // All ways valid: pick the victim. LRU and FIFO both evict
-        // the minimum stamp, scanned inline; Random keeps its RNG in
-        // the policy object.
-        unsigned w;
-        if (config_.replacement == ReplacementKind::Random) {
-            w = policy_->victim(nullptr, config_.assoc);
-        } else {
-            w = 0;
-            for (unsigned v = 1; v < config_.assoc; ++v)
-                if (base[v].stamp < base[w].stamp)
-                    w = v;
-        }
+        // All ways valid: evict the least recently used (minimum
+        // stamp).
+        unsigned w = 0;
+        for (unsigned v = 1; v < config_.assoc; ++v)
+            if (base[v].stamp < base[w].stamp)
+                w = v;
         slot = &base[w];
         victim.valid = true;
         victim.addr = slot->tag << lineShift_;
@@ -132,9 +123,7 @@ Cache::allocate(Addr addr, int owner)
     slot->valid = true;
     slot->dirty = false;
     slot->owner = owner;
-    slot->stamp = config_.replacement == ReplacementKind::Random
-                      ? 0
-                      : ++replClock_;
+    slot->stamp = ++replClock_;
     return victim;
 }
 
@@ -207,12 +196,9 @@ Cache::audit() const
                 RRM_AUDIT(base[v].tag != line.tag, "cache '",
                           config_.name, "': duplicate tag in set ", set,
                           " (ways ", w, " and ", v, ")");
-                if (config_.replacement != ReplacementKind::Random) {
-                    RRM_AUDIT(base[v].stamp != line.stamp, "cache '",
-                              config_.name,
-                              "': duplicate replacement stamp in set ",
-                              set, " (ways ", w, " and ", v, ")");
-                }
+                RRM_AUDIT(base[v].stamp != line.stamp, "cache '",
+                          config_.name, "': duplicate LRU stamp in set ",
+                          set, " (ways ", w, " and ", v, ")");
             }
         }
     }
@@ -233,7 +219,6 @@ void
 Cache::saveCkpt(ckpt::ChunkWriter &w) const
 {
     w.u64(replClock_);
-    w.u64(accessCounter_);
     w.u32(static_cast<std::uint32_t>(lines_.size()));
     for (const Line &line : lines_) {
         w.u64(line.tag);
@@ -242,14 +227,12 @@ Cache::saveCkpt(ckpt::ChunkWriter &w) const
         w.b(line.valid);
         w.b(line.dirty);
     }
-    policy_->saveCkpt(w);
 }
 
 void
 Cache::restoreCkpt(ckpt::ChunkReader &r)
 {
     replClock_ = r.u64();
-    accessCounter_ = r.u64();
     const std::uint32_t n = r.u32();
     if (n != lines_.size())
         throw ckpt::CkptError(
@@ -264,7 +247,6 @@ Cache::restoreCkpt(ckpt::ChunkReader &r)
         line.valid = r.b();
         line.dirty = r.b();
     }
-    policy_->restoreCkpt(r);
 }
 
 } // namespace rrm::cache

@@ -2,8 +2,8 @@
  * @file
  * A single set-associative write-back cache array.
  *
- * Cache is a building block: it owns tags, valid/dirty bits, and a
- * replacement policy, and exposes the primitive operations the
+ * Cache is a building block: it owns tags, valid/dirty bits, and LRU
+ * replacement stamps, and exposes the primitive operations the
  * three-level CacheHierarchy composes (lookup, allocate-with-victim,
  * dirty marking, invalidation). It deliberately stores no data bytes —
  * the simulator tracks state, not contents.
@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/replacement.hh"
 #include "common/auditable.hh"
 #include "common/logging.hh"
 #include "common/math_util.hh"
@@ -35,7 +34,6 @@ struct CacheConfig
     unsigned lineBytes = 64;
     Tick hitLatency = 1_ns;
     unsigned mshrs = 8;
-    ReplacementKind replacement = ReplacementKind::LRU;
 };
 
 /** Outcome of allocating a line: the displaced victim, if any. */
@@ -68,14 +66,14 @@ class Cache : public Auditable
     bool contains(Addr addr) const;
 
     /**
-     * Look up and, on hit, promote the line in the replacement order.
+     * Look up and, on hit, promote the line to most recently used.
      * @return true on hit.
      */
     bool access(Addr addr);
 
     /**
      * Allocate a line for `addr` (must not be present), evicting the
-     * replacement victim if the set is full.
+     * least recently used line if the set is full.
      *
      * @param owner Owner core recorded on the line (used by the shared
      *              LLC for back-invalidation; -1 if untracked).
@@ -117,9 +115,8 @@ class Cache : public Auditable
 
     /**
      * @{ Checkpoint the full array state: every line's tag / stamp /
-     * owner / valid / dirty plus the replacement clock and the
-     * policy's private state. Counters registered via regStats are
-     * covered by the stats section, not here.
+     * owner / valid / dirty plus the LRU clock. Counters registered
+     * via regStats are covered by the stats section, not here.
      */
     void saveCkpt(ckpt::ChunkWriter &w) const;
     void restoreCkpt(ckpt::ChunkReader &r);
@@ -131,8 +128,8 @@ class Cache : public Auditable
     /**
      * Invariants: no duplicate valid tags within a set, every valid
      * tag indexes back to the set holding it, dirty state only on
-     * valid lines, and (under LRU/FIFO) distinct replacement stamps
-     * among the valid ways of a set.
+     * valid lines, and distinct LRU stamps among the valid ways of a
+     * set.
      */
     void audit() const override;
 
@@ -155,15 +152,8 @@ class Cache : public Auditable
     std::uint64_t numSets_;
     unsigned lineShift_;
     std::vector<Line> lines_; ///< numSets_ * assoc, set-major
-    std::unique_ptr<ReplacementPolicy> policy_;
-    std::uint64_t accessCounter_ = 0;
 
-    /**
-     * LRU/FIFO stamp clock, kept inline so the per-access touch and
-     * the victim scan skip the virtual policy dispatch. Produces the
-     * same stamp sequence the policy objects would; policy_ is only
-     * consulted for Random victims (it owns the RNG state).
-     */
+    /** LRU stamp clock: every hit and insertion takes the next value. */
     std::uint64_t replClock_ = 0;
 
     stats::Scalar *statHits_ = nullptr;

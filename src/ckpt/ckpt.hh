@@ -57,8 +57,8 @@ class CkptError : public std::runtime_error
 std::uint32_t crc32(const void *data, std::size_t size,
                     std::uint32_t seed = 0);
 
-/** Current .rckpt format version. */
-constexpr std::uint32_t formatVersion = 1;
+/** Current .rckpt format version; files of any other are refused. */
+constexpr std::uint32_t formatVersion = 2;
 
 /** Section id: four printable characters packed little-endian. */
 constexpr std::uint32_t

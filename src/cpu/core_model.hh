@@ -3,7 +3,7 @@
  * Trace-driven out-of-order-approximating core model.
  *
  * The core consumes a synthetic instruction trace (trace::TraceSource,
- * which generates inline or replays a materialized/packed stream)
+ * which generates inline or replays a .rtp trace pack)
  * and models the properties memory-system studies need (DESIGN.md
  * section 3, substitution 2):
  *

@@ -10,12 +10,11 @@
  * oversized captures at compile time, so the cost of an event is
  * visible in its type.
  *
- * The scheduling API (EventQueue, DelayQueue, PeriodicTask,
- * memctrl::Request) accepts only InlineFunction instantiations;
- * wrapping a std::function is a compile error by design — see the
- * static_asserts in the converting constructor. Cold-path hooks
- * (config hooks, completion hooks installed once per run) stay
- * std::function.
+ * The scheduling API (EventQueue, PeriodicTask, memctrl::Request)
+ * accepts only InlineFunction instantiations; wrapping a
+ * std::function is a compile error by design — see the static_asserts
+ * in the converting constructor. Cold-path hooks (config hooks,
+ * completion hooks installed once per run) stay std::function.
  */
 
 #ifndef RRM_SIM_CALLBACK_HH

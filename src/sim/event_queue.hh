@@ -219,24 +219,6 @@ class EventQueue : public Auditable
     }
 
     /**
-     * Account one extra logical event execution at the given
-     * priority. Used by DelayQueue batch delivery: one physical event
-     * delivers k queued items, and the k-1 extra deliveries are
-     * credited here so eventsExecuted stays identical to the
-     * one-event-per-item schedule it replaces.
-     */
-    void
-    creditCoalescedDelivery(EventPriority prio)
-    {
-        ++executed_;
-        if (telemetry_ != nullptr) {
-            telemetry_->executedByPriority->add(
-                EventQueueTelemetry::priorityBin(
-                    static_cast<int>(prio)));
-        }
-    }
-
-    /**
      * Attach (or detach, with nullptr) hot-path telemetry sinks. The
      * struct must outlive the queue or be detached first; see
      * EventQueueTelemetry for the ownership story.

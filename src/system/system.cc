@@ -55,11 +55,6 @@ SystemConfig::validate() const
             "resumeFromCheckpoint requires checkpointEveryEpochs > 0 "
             "(the resumed run must keep the quiesce cadence)");
     }
-    if (traceMode == trace::TraceMode::Materialized && !traceCache)
-        errors.push_back(
-            "traceMode Materialized requires a traceCache");
-    if (traceMode == trace::TraceMode::Pack && tracePackDir.empty())
-        errors.push_back("traceMode Pack requires tracePackDir");
 
     if (!customProfiles.empty() &&
         customProfiles.size() != hierarchy.numCores) {
@@ -114,9 +109,6 @@ System::System(SystemConfig config)
     timeScaleInt_ = static_cast<std::uint64_t>(config_.timeScale);
     if (timeScaleInt_ < 1)
         timeScaleInt_ = 1;
-
-    if (config_.useDelayQueues)
-        readRetryDelay_ = std::make_unique<DelayQueue>(queue_, 100_ns);
 
     hierarchy_ =
         std::make_unique<cache::CacheHierarchy>(config_.hierarchy);
@@ -414,25 +406,15 @@ System::buildCores()
                 ? trace::benchmarkProfile(config_.workload.perCore[c])
                 : *config_.customProfiles[c];
         const std::uint64_t core_seed = seeder.next();
-        auto source = [&]() -> trace::TraceSource {
-            switch (config_.traceMode) {
-              case trace::TraceMode::Materialized:
-                return trace::TraceSource::materialized(
-                    config_.traceCache->get(
-                        profile, core_seed,
-                        config_.traceCacheCapRecords));
-              case trace::TraceMode::Pack:
-                return trace::TraceSource::pack(
-                    std::make_shared<trace::TracePackReader>(
-                        config_.tracePackDir + "/" +
-                        std::string(profile.name) + "-c" +
-                        std::to_string(c) + ".rtp"),
-                    profile, core_seed);
-              case trace::TraceMode::Generate:
-                break;
-            }
-            return trace::TraceSource::generate(profile, core_seed);
-        }();
+        auto source =
+            config_.tracePackDir.empty()
+                ? trace::TraceSource::generate(profile, core_seed)
+                : trace::TraceSource::pack(
+                      std::make_shared<trace::TracePackReader>(
+                          config_.tracePackDir + "/" +
+                          std::string(profile.name) + "-c" +
+                          std::to_string(c) + ".rtp"),
+                      profile, core_seed);
         auto core = std::make_unique<cpu::CoreModel>(
             c, config_.core, std::move(source), *hierarchy_, *this,
             queue_, static_cast<Addr>(c) * slice);
@@ -472,17 +454,9 @@ System::tryEnqueueRead(unsigned core, Addr line)
         phys, [this, core, line](Tick) { onReadComplete(core, line); });
     if (!ok) {
         // Per-channel read queue momentarily full; retry shortly.
-        // The delay-queue path delivers the identical schedule in
-        // FIFO batches with one armed event instead of one heap
-        // insertion per retry.
-        if (readRetryDelay_) {
-            readRetryDelay_->push(
-                [this, core, line] { tryEnqueueRead(core, line); });
-        } else {
-            queue_.scheduleAfter(100_ns, [this, core, line] {
-                tryEnqueueRead(core, line);
-            });
-        }
+        queue_.scheduleAfter(100_ns, [this, core, line] {
+            tryEnqueueRead(core, line);
+        });
     }
 }
 

@@ -32,7 +32,6 @@
 #include "policy/adaptive_config.hh"
 #include "policy/tenant_qos_policy.hh"
 #include "policy/write_policy.hh"
-#include "sim/delay_queue.hh"
 #include "system/measurement.hh"
 #include "system/region_profiler.hh"
 #include "system/results.hh"
@@ -201,41 +200,13 @@ struct SystemConfig
     std::uint64_t seed = 1;
 
     /**
-     * How cores obtain their instruction streams. All three modes
-     * produce byte-identical streams for a given (profile, seed);
-     * they differ only in where the records come from (see
-     * trace/source.hh). None of these fields enter the run-record
-     * config JSON: they cannot change results.
-     */
-    trace::TraceMode traceMode = trace::TraceMode::Generate;
-
-    /**
-     * Shared materialized-stream cache; required when traceMode is
-     * Materialized, ignored otherwise. Not owned; must outlive the
-     * System. Sharing one cache across the runs of a plan is the
-     * point — each distinct (profile, seed) stream is generated once.
-     */
-    trace::TraceCache *traceCache = nullptr;
-
-    /** Replay-prefix length per stream in Materialized mode. */
-    std::uint64_t traceCacheCapRecords =
-        trace::MaterializedTrace::defaultCapRecords;
-
-    /**
-     * Route the fixed-latency read-retry backoff through a DelayQueue
-     * (sim/delay_queue.hh) instead of per-item central-queue events.
-     * Event *counts* are identical either way (coalesced deliveries
-     * are credited); delivery *order* can differ when an unrelated
-     * same-tick event lands between two retries, so this is off by
-     * default and the golden records pin the central-queue schedule.
-     * Not emitted in the run-record config JSON.
-     */
-    bool useDelayQueues = false;
-
-    /**
-     * Directory of .rtp packs; required when traceMode is Pack.
+     * Directory of .rtp packs to replay instead of generating the
+     * instruction streams inline; empty (the default) generates.
      * Core c replays "<profile>-c<c>.rtp" (tools/trace-pack writes
-     * this layout) after validating the pack's seed and profile.
+     * this layout) after validating the pack's seed and profile. Both
+     * sources give byte-identical streams for a given (profile, seed)
+     * (see trace/source.hh), so this field does not enter the
+     * run-record config JSON: it cannot change results.
      */
     std::string tracePackDir;
 
@@ -416,8 +387,6 @@ class System : public cpu::CorePort
     SystemConfig config_;
     EventQueue queue_;
 
-    /** Read-retry backoff hop (only when config_.useDelayQueues). */
-    std::unique_ptr<DelayQueue> readRetryDelay_;
     stats::StatGroup statRoot_;
 
     std::unique_ptr<cache::CacheHierarchy> hierarchy_;

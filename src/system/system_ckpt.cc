@@ -97,8 +97,7 @@ System::configFingerprint() const
         obs::JsonWriter json(os);
         writeConfigJson(json);
     }
-    os << "|delayq=" << (config_.useDelayQueues ? 1 : 0)
-       << "|ckptEvery=" << config_.checkpointEveryEpochs
+    os << "|ckptEvery=" << config_.checkpointEveryEpochs
        << "|epochTicks=" << ckptEpochTicks_
        << "|sampler=" << (sampler_ ? sampler_->interval() : 0)
        << "|regionProf=" << (profiler_ ? 1 : 0);
@@ -126,8 +125,6 @@ System::ckptQuiescent() const
     if (!controller_->quiescent())
         return false;
     if (faultMgr_ && faultMgr_->pendingRewriteEvents() != 0)
-        return false;
-    if (readRetryDelay_ && !readRetryDelay_->empty())
         return false;
     return true;
 }

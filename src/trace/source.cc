@@ -1,6 +1,6 @@
 /**
  * @file
- * MaterializedTrace, TraceCache, and TraceSource implementation.
+ * TraceSource implementation.
  */
 
 #include "trace/source.hh"
@@ -9,61 +9,6 @@
 
 namespace rrm::trace
 {
-
-MaterializedTrace::MaterializedTrace(const BenchmarkProfile &profile,
-                                     std::uint64_t seed,
-                                     std::uint64_t capRecords)
-    : profile_(profile),
-      seed_(seed),
-      cap_(capRecords),
-      gen_(profile, seed)
-{
-    RRM_ASSERT(cap_ >= chunkRecords,
-               "materialized trace cap too small to hold one chunk");
-    footprint_ = gen_.footprintBytes();
-    meanGap_ = gen_.meanGapInstructions();
-    chunks_.resize((cap_ + chunkRecords - 1) / chunkRecords);
-}
-
-void
-MaterializedTrace::extendTo(std::uint64_t i)
-{
-    RRM_ASSERT(i < cap_, "materialized trace read past its cap");
-    std::lock_guard<std::mutex> lock(growthMutex_);
-    // Another thread may have published past i while we waited.
-    while (generated_ <= i) {
-        const std::uint64_t chunk = generated_ / chunkRecords;
-        const std::uint64_t fill =
-            std::min(chunkRecords, cap_ - generated_);
-        auto records = std::make_unique<TraceRecord[]>(fill);
-        for (std::uint64_t r = 0; r < fill; ++r)
-            records[r] = gen_.next();
-        chunks_[chunk] = std::move(records);
-        generated_ += fill;
-        // Release-publish: the chunk pointer store above must be
-        // visible to any reader that observes the new watermark.
-        published_.store(generated_, std::memory_order_release);
-    }
-}
-
-std::shared_ptr<MaterializedTrace>
-TraceCache::get(const BenchmarkProfile &profile, std::uint64_t seed,
-                std::uint64_t capRecords)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = entries_[{&profile, seed}];
-    if (!slot)
-        slot = std::make_shared<MaterializedTrace>(profile, seed,
-                                                   capRecords);
-    return slot;
-}
-
-std::size_t
-TraceCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-}
 
 TraceSource::TraceSource(const BenchmarkProfile &profile,
                          std::uint64_t seed)
@@ -78,17 +23,6 @@ TraceSource::generate(const BenchmarkProfile &profile, std::uint64_t seed)
     src.gen_.emplace(profile, seed);
     src.footprint_ = src.gen_->footprintBytes();
     src.meanGap_ = src.gen_->meanGapInstructions();
-    return src;
-}
-
-TraceSource
-TraceSource::materialized(std::shared_ptr<MaterializedTrace> mat)
-{
-    TraceSource src(mat->profile(), mat->seed());
-    src.footprint_ = mat->footprintBytes();
-    src.meanGap_ = mat->meanGapInstructions();
-    src.replayEnd_ = mat->capRecords();
-    src.mat_ = std::move(mat);
     return src;
 }
 
@@ -136,7 +70,6 @@ TraceSource::fastForwardTail(std::uint64_t consumed)
     gen_.emplace(*profile_, seed_);
     for (std::uint64_t i = 0; i < consumed; ++i)
         gen_->next();
-    mat_.reset();
     pack_.reset();
 }
 
@@ -147,8 +80,7 @@ TraceSource::next()
     if (gen_)
         return gen_->next();
     if (pos_ < replayEnd_) {
-        const std::uint64_t i = pos_++;
-        return mat_ ? mat_->record(i) : pack_->record(i);
+        return pack_->record(pos_++);
     }
     fastForwardTail(pos_);
     return gen_->next();

@@ -1,138 +1,31 @@
 /**
  * @file
- * TraceSource: one abstraction over the three ways a core can obtain
- * its instruction stream, all byte-identical for a given
- * (profile, seed):
+ * TraceSource: one abstraction over the two ways a core can obtain
+ * its instruction stream, byte-identical for a given (profile, seed):
  *
- *  - Generate:     run the TraceGenerator inline (the default; zero
- *                  memory overhead, RNG + pattern math per record).
- *  - Materialized: read from a shared in-memory MaterializedTrace that
- *                  lazily generates and caches the stream, so repeated
- *                  runs over the same (profile, seed) — e.g. the
- *                  A/B/A sweeps bench_speed performs — pay generation
- *                  once and replay with an array load afterwards.
- *  - Pack:         replay a pre-generated binary .rtp file produced by
- *                  tools/trace-pack (see trace_pack.hh).
+ *  - Generate: run the TraceGenerator inline (the default; zero
+ *              memory overhead, RNG + pattern math per record).
+ *  - Pack:     replay a pre-generated binary .rtp file produced by
+ *              tools/trace-pack (see trace_pack.hh).
  *
- * Replay sources hold a finite prefix. When a run consumes past the
- * prefix the source "fast-forwards" a fresh generator over the records
- * it already served and continues generating live — a one-time O(N)
+ * A pack holds a finite prefix. When a run consumes past the prefix
+ * the source "fast-forwards" a fresh generator over the records it
+ * already served and continues generating live — a one-time O(N)
  * cost that preserves exactness instead of failing the run.
  */
 
 #ifndef RRM_TRACE_SOURCE_HH
 #define RRM_TRACE_SOURCE_HH
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <vector>
 
 #include "trace/generator.hh"
 #include "trace/trace_pack.hh"
 
 namespace rrm::trace
 {
-
-/** How cores obtain their instruction streams (SystemConfig). */
-enum class TraceMode : std::uint8_t
-{
-    Generate = 0, ///< inline TraceGenerator (default)
-    Materialized, ///< shared lazily-generated in-memory cache
-    Pack,         ///< pre-generated .rtp files
-};
-
-/**
- * A lazily materialized prefix of one (profile, seed) trace stream,
- * shareable between concurrently running systems.
- *
- * Records are generated on demand in fixed-size chunks under a mutex
- * and published with a release-store; readers below the published
- * watermark touch no locks. The chunk-pointer table is sized up front
- * so readers never race a reallocation.
- */
-class MaterializedTrace
-{
-  public:
-    static constexpr std::uint64_t chunkRecords = 64 * 1024;
-
-    /** Default prefix length (256 MiB of records). */
-    static constexpr std::uint64_t defaultCapRecords = 16u << 20;
-
-    MaterializedTrace(const BenchmarkProfile &profile, std::uint64_t seed,
-                      std::uint64_t capRecords = defaultCapRecords);
-
-    const BenchmarkProfile &profile() const { return profile_; }
-    std::uint64_t seed() const { return seed_; }
-    std::uint64_t capRecords() const { return cap_; }
-    std::uint64_t footprintBytes() const { return footprint_; }
-    double meanGapInstructions() const { return meanGap_; }
-
-    /** Records generated so far (monotone; for tests / telemetry). */
-    std::uint64_t
-    publishedRecords() const
-    {
-        return published_.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Record `i` of the stream; `i` must be < capRecords(). Generates
-     * (and caches) up to the containing chunk if needed.
-     */
-    TraceRecord
-    record(std::uint64_t i)
-    {
-        if (i >= published_.load(std::memory_order_acquire))
-            extendTo(i);
-        return chunks_[i / chunkRecords][i % chunkRecords];
-    }
-
-  private:
-    void extendTo(std::uint64_t i);
-
-    const BenchmarkProfile &profile_;
-    std::uint64_t seed_;
-    std::uint64_t cap_;
-    std::uint64_t footprint_;
-    double meanGap_;
-
-    /** Fixed-size chunk pointer table (never reallocated). */
-    std::vector<std::unique_ptr<TraceRecord[]>> chunks_;
-    std::atomic<std::uint64_t> published_{0};
-
-    std::mutex growthMutex_;
-    TraceGenerator gen_;            ///< guarded by growthMutex_
-    std::uint64_t generated_ = 0;   ///< guarded by growthMutex_
-};
-
-/**
- * Process-wide registry of MaterializedTraces keyed by
- * (&profile, seed). Thread-safe: the bench runner executes runs from a
- * thread pool and all of them share one cache.
- *
- * Keys use profile *identity*, which is stable for the built-in
- * benchmarkProfile() singletons; callers passing custom profiles must
- * keep them alive for the cache's lifetime.
- */
-class TraceCache
-{
-  public:
-    std::shared_ptr<MaterializedTrace>
-    get(const BenchmarkProfile &profile, std::uint64_t seed,
-        std::uint64_t capRecords = MaterializedTrace::defaultCapRecords);
-
-    /** Number of distinct (profile, seed) streams cached. */
-    std::size_t size() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<std::pair<const BenchmarkProfile *, std::uint64_t>,
-             std::shared_ptr<MaterializedTrace>>
-        entries_;
-};
 
 /**
  * The stream handle a core consumes. Move-only; owns the position
@@ -144,9 +37,6 @@ class TraceSource
     /** Inline generation (byte-identical to the pre-redesign path). */
     static TraceSource generate(const BenchmarkProfile &profile,
                                 std::uint64_t seed);
-
-    /** Replay from a shared materialized stream. */
-    static TraceSource materialized(std::shared_ptr<MaterializedTrace> mat);
 
     /**
      * Replay from a .rtp pack. Validates the pack's profile name,
@@ -168,8 +58,8 @@ class TraceSource
 
     /**
      * Checkpoint restore: position the stream as if `consumed`
-     * records had already been served. Replay backends simply move
-     * their cursor; Generate mode (and a replay prefix shorter than
+     * records had already been served. Pack replay simply moves its
+     * cursor; Generate mode (and a pack prefix shorter than
      * `consumed`) fast-forwards a fresh generator over the served
      * records, the same O(N) mechanism as fastForwardTail. Only legal
      * on a freshly constructed source.
@@ -197,7 +87,6 @@ class TraceSource
     /** Live generator (Generate mode, or the replay tail). */
     std::optional<TraceGenerator> gen_;
 
-    std::shared_ptr<MaterializedTrace> mat_;
     std::shared_ptr<TracePackReader> pack_;
     std::uint64_t pos_ = 0;      ///< next replay index
     std::uint64_t replayEnd_ = 0; ///< replay records available

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the set-associative cache array and replacement policies.
+ * Tests for the set-associative LRU cache array.
  */
 
 #include <gtest/gtest.h>
@@ -13,14 +13,13 @@ namespace
 {
 
 CacheConfig
-tinyConfig(ReplacementKind repl = ReplacementKind::LRU)
+tinyConfig()
 {
     CacheConfig cfg;
     cfg.name = "tiny";
     cfg.sizeBytes = 4096; // 64 lines
     cfg.assoc = 4;        // 16 sets
     cfg.lineBytes = 64;
-    cfg.replacement = repl;
     return cfg;
 }
 
@@ -184,32 +183,6 @@ TEST(Cache, BadGeometryPanics)
     cfg = tinyConfig();
     cfg.sizeBytes = 4096 + 64; // not whole sets
     EXPECT_THROW(Cache{cfg}, PanicError);
-}
-
-TEST(Replacement, FifoIgnoresTouches)
-{
-    Cache c(tinyConfig(ReplacementKind::FIFO));
-    const Addr stride = 16 * 64;
-    for (int i = 0; i < 4; ++i)
-        c.allocate(i * stride);
-    // Touch the oldest heavily; FIFO must still evict it.
-    for (int i = 0; i < 10; ++i)
-        c.access(0);
-    const Victim v = c.allocate(4 * stride);
-    ASSERT_TRUE(v.valid);
-    EXPECT_EQ(v.addr, 0u);
-}
-
-TEST(Replacement, RandomPicksWithinSet)
-{
-    Cache c(tinyConfig(ReplacementKind::Random));
-    const Addr stride = 16 * 64;
-    for (int i = 0; i < 4; ++i)
-        c.allocate(i * stride);
-    const Victim v = c.allocate(4 * stride);
-    ASSERT_TRUE(v.valid);
-    EXPECT_EQ(v.addr % stride, 0u);
-    EXPECT_LT(v.addr, 4 * stride);
 }
 
 class CacheGeometry

@@ -253,6 +253,48 @@ TEST(CkptContainer, TruncationAtEveryLengthIsDetected)
     }
 }
 
+TEST(CkptContainer, OlderFormatVersionIsRefusedByName)
+{
+    ckpt::CkptHeader header;
+    ckpt::CkptWriter writer(header);
+    ckpt::ChunkWriter payload;
+    payload.u64(7);
+    writer.section(ckpt::sectionId('T', 'S', 'T', 'A'), payload);
+    std::vector<std::uint8_t> old = writer.serialize();
+
+    // Rewrite it as an intact version-1 file: patch the version word
+    // and re-seal the header and whole-file CRCs, so the version check
+    // is the only thing left to object.
+    const auto put32 = [&](std::size_t at, std::uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            old[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    };
+    put32(8, 1);
+    put32(kHeaderSize - 4, ckpt::crc32(old.data(), kHeaderSize - 4));
+    const std::size_t trailerAt = old.size() - 8;
+    put32(trailerAt, ckpt::crc32(old.data(), trailerAt));
+
+    const fs::path dir = freshDir("old_version");
+    const fs::path path = dir / "ckpt-00000001.rckpt";
+    {
+        std::ofstream os(path, std::ios::binary);
+        os.write(reinterpret_cast<const char *>(old.data()),
+                 static_cast<std::streamsize>(old.size()));
+    }
+    try {
+        ckpt::CkptReader reader(path.string());
+        FAIL() << "a version-1 checkpoint was accepted";
+    } catch (const ckpt::CkptError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(path.string()), std::string::npos) << msg;
+        EXPECT_NE(msg.find("format version mismatch (file has 1, this "
+                           "build reads 2)"),
+                  std::string::npos)
+            << msg;
+    }
+    fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // Config validation
 // ---------------------------------------------------------------------

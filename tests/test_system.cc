@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hh"
 #include "common/math_util.hh"
 #include "system/system.hh"
 
@@ -197,6 +198,33 @@ TEST(SystemIntegration, MixWorkloadsRun)
     const SimResults r = runQuick("MIX_2", Scheme::rrmScheme());
     EXPECT_GT(r.totalInstructions, 0u);
     EXPECT_GT(r.demandWrites, 0u);
+}
+
+TEST(SystemIntegration, FullReadQueuesBackOffAndRetry)
+{
+    // A one-entry read queue per channel refuses most reads, so every
+    // refused fill goes through tryEnqueueRead's 100 ns retry.
+    const auto configFor = [](unsigned read_queue_cap) {
+        SystemConfig cfg = quickConfig("MIX_2", Scheme::rrmScheme());
+        cfg.windowSeconds = 0.004;
+        cfg.memory.readQueueCap = read_queue_cap;
+        return cfg;
+    };
+    System a(configFor(1));
+    const SimResults ra = a.run();
+    EXPECT_GT(ra.totalInstructions, 0u);
+    EXPECT_GT(ra.memReads, 0u);
+    EXPECT_EQ(a.runAudits(), 0u);
+    EXPECT_EQ(check::totalViolations(), 0u);
+
+    System b(configFor(1));
+    const SimResults rb = b.run();
+    EXPECT_EQ(ra.toJsonString(), rb.toJsonString());
+    EXPECT_EQ(ra.eventsExecuted, rb.eventsExecuted);
+
+    // The retries are extra events: back-pressure really happened.
+    System dflt(configFor(memctrl::MemoryParams{}.readQueueCap));
+    EXPECT_NE(ra.eventsExecuted, dflt.run().eventsExecuted);
 }
 
 TEST(SystemIntegration, RegionProfilerCapturesHotConcentration)

@@ -152,50 +152,5 @@ TEST(TracePack, TruncatedFileIsFatal)
     std::remove(path.c_str());
 }
 
-TEST(TraceSource, MaterializedMatchesGenerate)
-{
-    const BenchmarkProfile &profile = benchmarkProfile(Benchmark::Lbm);
-    const std::uint64_t seed = 11;
-    constexpr std::uint64_t n = 200000; // > one 64Ki chunk
-
-    TraceCache cache;
-    TraceSource mat = TraceSource::materialized(cache.get(profile, seed));
-    TraceSource ref = TraceSource::generate(profile, seed);
-    for (std::uint64_t i = 0; i < n; ++i)
-        expectSameRecord(mat.next(), ref.next(), i);
-}
-
-TEST(TraceSource, MaterializedFastForwardsPastCap)
-{
-    const BenchmarkProfile &profile =
-        benchmarkProfile(Benchmark::Leslie3d);
-    const std::uint64_t seed = 5;
-    // Cap at exactly one chunk so the tail path triggers quickly.
-    const std::uint64_t cap = MaterializedTrace::chunkRecords;
-
-    TraceCache cache;
-    TraceSource mat =
-        TraceSource::materialized(cache.get(profile, seed, cap));
-    TraceSource ref = TraceSource::generate(profile, seed);
-    for (std::uint64_t i = 0; i < 3 * cap; ++i)
-        expectSameRecord(mat.next(), ref.next(), i);
-}
-
-TEST(TraceSource, CacheSharesStreamsByProfileAndSeed)
-{
-    const BenchmarkProfile &lbm = benchmarkProfile(Benchmark::Lbm);
-    const BenchmarkProfile &milc = benchmarkProfile(Benchmark::Milc);
-
-    TraceCache cache;
-    const auto a = cache.get(lbm, 1);
-    const auto b = cache.get(lbm, 1);
-    const auto c = cache.get(lbm, 2);
-    const auto d = cache.get(milc, 1);
-    EXPECT_EQ(a.get(), b.get());
-    EXPECT_NE(a.get(), c.get());
-    EXPECT_NE(a.get(), d.get());
-    EXPECT_EQ(cache.size(), 3u);
-}
-
 } // namespace
 } // namespace rrm::trace
