@@ -2,7 +2,7 @@
  * @file
  * A single set-associative write-back cache array.
  *
- * Cache is a building block: it owns tags, valid/dirty bits, and LRU
+ * Cache is a building block: it owns tags, dirty bits, owners and LRU
  * replacement stamps, and exposes the primitive operations the
  * three-level CacheHierarchy composes (lookup, allocate-with-victim,
  * dirty marking, invalidation). It deliberately stores no data bytes —
@@ -12,6 +12,7 @@
 #ifndef RRM_CACHE_CACHE_HH
 #define RRM_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,13 +43,26 @@ struct Victim
     bool valid = false;
     Addr addr = 0;
     bool dirty = false;
-    int owner = -1;
+    /** Slot the new line now occupies (see Cache::probe). */
+    std::size_t slot = 0;
 };
 
-/** One set-associative cache level. */
+/**
+ * One set-associative cache level.
+ *
+ * Storage is struct-of-arrays, set-major: way `w` of set `s` is slot
+ * `s * assoc + w` in each of `tags_`, `stamps_`, `owners_` and
+ * `dirty_`. An empty way holds the sentinel tag `kEmpty`, so a probe
+ * compares tags only and reads one contiguous run of `assoc` words.
+ * Slot handles from probe()/allocate() stay valid until the next
+ * allocate() or invalidate() on this cache.
+ */
 class Cache : public Auditable
 {
   public:
+    /** probe() result for an absent line. */
+    static constexpr std::size_t npos = ~std::size_t(0);
+
     explicit Cache(const CacheConfig &config);
 
     const CacheConfig &config() const { return config_; }
@@ -62,14 +76,67 @@ class Cache : public Auditable
         return addr & ~static_cast<Addr>(config_.lineBytes - 1);
     }
 
+    /**
+     * Find the line holding `addr` without touching LRU state or
+     * statistics.
+     * @return Its slot, or npos if absent.
+     */
+    std::size_t
+    probe(Addr addr) const
+    {
+        const Addr tag = addr >> lineShift_;
+        const std::size_t base = (tag & (numSets_ - 1)) * config_.assoc;
+        const Addr *ways = tags_.data() + base;
+        // No early exit: a set holds each tag at most once, and a
+        // branch on the (random) hit way would mispredict.
+        std::size_t hit = npos;
+        for (unsigned w = 0; w < config_.assoc; ++w)
+            hit = ways[w] == tag ? base + w : hit;
+        return hit;
+    }
+
+    /** @{ Operations on a slot returned by probe() or allocate(). */
+    /** A lookup hit: promote to most recently used and count it. */
+    void
+    touch(std::size_t slot)
+    {
+        stamps_[slot] = ++replClock_;
+        if (statHits_)
+            ++*statHits_;
+    }
+
+    bool dirtyAt(std::size_t slot) const { return dirty_[slot] != 0; }
+    void setDirtyAt(std::size_t slot) { dirty_[slot] = 1; }
+    /** @} */
+
+    /** A lookup miss: count it. */
+    void
+    countMiss()
+    {
+        if (statMisses_)
+            ++*statMisses_;
+    }
+
     /** True if the line holding `addr` is present. */
-    bool contains(Addr addr) const;
+    bool contains(Addr addr) const { return probe(addr) != npos; }
 
     /**
-     * Look up and, on hit, promote the line to most recently used.
-     * @return true on hit.
+     * Counted lookup: probe, then touch() a hit or countMiss().
+     * @return The hit slot, or npos.
      */
-    bool access(Addr addr);
+    std::size_t
+    lookup(Addr addr)
+    {
+        const std::size_t slot = probe(addr);
+        if (slot == npos)
+            countMiss();
+        else
+            touch(slot);
+        return slot;
+    }
+
+    /** lookup() that reports only whether it hit. */
+    bool access(Addr addr) { return lookup(addr) != npos; }
 
     /**
      * Allocate a line for `addr` (must not be present), evicting the
@@ -78,7 +145,7 @@ class Cache : public Auditable
      * @param owner Owner core recorded on the line (used by the shared
      *              LLC for back-invalidation; -1 if untracked).
      * @return The displaced victim (valid == false if a free way was
-     *         used).
+     *         used) and the new line's slot.
      */
     Victim allocate(Addr addr, int owner = -1);
 
@@ -105,9 +172,9 @@ class Cache : public Auditable
     void
     forEachValidLine(Fn &&fn) const
     {
-        for (const auto &line : lines_)
-            if (line.valid)
-                fn(line.tag << lineShift_);
+        for (const Addr tag : tags_)
+            if (tag != kEmpty)
+                fn(tag << lineShift_);
     }
 
     /** Register hit/miss/writeback statistics into a group. */
@@ -115,8 +182,9 @@ class Cache : public Auditable
 
     /**
      * @{ Checkpoint the full array state: every line's tag / stamp /
-     * owner / valid / dirty plus the LRU clock. Counters registered
-     * via regStats are covered by the stats section, not here.
+     * owner / valid / dirty plus the LRU clock. An empty way is saved
+     * as tag 0 with valid == false. Counters registered via regStats
+     * are covered by the stats section, not here.
      */
     void saveCkpt(ckpt::ChunkWriter &w) const;
     void restoreCkpt(ckpt::ChunkReader &r);
@@ -134,24 +202,21 @@ class Cache : public Auditable
     void audit() const override;
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        std::uint64_t stamp = 0;
-        int owner = -1;
-        bool valid = false;
-        bool dirty = false;
-    };
+    /** Tag of an empty way; lines of 2+ bytes never shift down to it. */
+    static constexpr Addr kEmpty = ~Addr(0);
 
     std::uint64_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
 
     CacheConfig config_;
     std::uint64_t numSets_;
     unsigned lineShift_;
-    std::vector<Line> lines_; ///< numSets_ * assoc, set-major
+
+    /** @{ Per-slot state, numSets_ * assoc entries, set-major. */
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> stamps_;
+    std::vector<int> owners_;
+    std::vector<std::uint8_t> dirty_;
+    /** @} */
 
     /** LRU stamp clock: every hit and insertion takes the next value. */
     std::uint64_t replClock_ = 0;

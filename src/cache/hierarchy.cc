@@ -62,36 +62,30 @@ CacheHierarchy::access(unsigned core, Addr addr, bool is_write)
 
     HierarchyEvents ev;
     Cache &l1 = *l1s_[core];
-    Cache &l2 = *l2s_[core];
 
+    // Each level is probed once; a hit below L1 refills the levels
+    // above it, and a store dirties the L1 slot the refill returns.
     ev.latency += config_.l1.hitLatency;
-    if (l1.access(addr)) {
+    std::size_t l1_slot = l1.lookup(addr);
+    if (l1_slot != Cache::npos) {
         ev.hitLevel = 1;
-        if (is_write)
-            l1.setDirty(addr);
-        return ev;
+    } else {
+        ev.latency += config_.l2.hitLatency;
+        if (l2s_[core]->lookup(addr) != Cache::npos) {
+            ev.hitLevel = 2;
+        } else {
+            ev.latency += config_.llc.hitLatency;
+            if (llc_->lookup(addr) == Cache::npos) {
+                ev.llcMiss = true;
+                return ev;
+            }
+            ev.hitLevel = 3;
+            fillIntoL2(core, addr, ev);
+        }
+        l1_slot = fillIntoL1(core, addr);
     }
-
-    ev.latency += config_.l2.hitLatency;
-    if (l2.access(addr)) {
-        ev.hitLevel = 2;
-        fillIntoL1(core, addr, ev);
-        if (is_write)
-            l1.setDirty(addr);
-        return ev;
-    }
-
-    ev.latency += config_.llc.hitLatency;
-    if (llc_->access(addr)) {
-        ev.hitLevel = 3;
-        fillIntoL2(core, addr, ev);
-        fillIntoL1(core, addr, ev);
-        if (is_write)
-            l1.setDirty(addr);
-        return ev;
-    }
-
-    ev.llcMiss = true;
+    if (is_write)
+        l1.setDirtyAt(l1_slot);
     return ev;
 }
 
@@ -102,9 +96,7 @@ CacheHierarchy::fill(unsigned core, Addr addr, bool is_write)
     addr = llc_->lineAddr(addr);
 
     HierarchyEvents ev;
-    RRM_ASSERT(!llc_->contains(addr),
-               "fill() for a line already in the LLC");
-
+    // allocate() panics if the line is already in the LLC.
     const Victim victim = llc_->allocate(addr, static_cast<int>(core));
     if (victim.valid) {
         // Back-invalidate upper-level copies to preserve inclusion; a
@@ -123,34 +115,32 @@ CacheHierarchy::fill(unsigned core, Addr addr, bool is_write)
     }
 
     fillIntoL2(core, addr, ev);
-    fillIntoL1(core, addr, ev);
+    const std::size_t l1_slot = fillIntoL1(core, addr);
     if (is_write)
-        l1s_[core]->setDirty(addr);
+        l1s_[core]->setDirtyAt(l1_slot);
     return ev;
 }
 
 void
 CacheHierarchy::fillIntoL2(unsigned core, Addr addr, HierarchyEvents &ev)
 {
-    Cache &l1 = *l1s_[core];
-    Cache &l2 = *l2s_[core];
-
-    const Victim victim = l2.allocate(addr);
+    const Victim victim = l2s_[core]->allocate(addr);
     if (!victim.valid)
         return;
 
     // The L1 copy (if any) must leave too; it may be dirtier.
     bool dirty = victim.dirty;
-    dirty |= l1.invalidate(victim.addr);
+    dirty |= l1s_[core]->invalidate(victim.addr);
 
     if (dirty) {
         // Write the victim back into its LLC line: this is the LLC
         // write the RRM registers, with the line's previous dirty bit.
-        RRM_ASSERT(llc_->contains(victim.addr),
+        const std::size_t slot = llc_->probe(victim.addr);
+        RRM_ASSERT(slot != Cache::npos,
                    "inclusion broken: L2 victim absent from LLC");
-        const bool was_dirty = llc_->isDirty(victim.addr);
-        llc_->access(victim.addr); // promote on write
-        llc_->setDirty(victim.addr);
+        const bool was_dirty = llc_->dirtyAt(slot);
+        llc_->touch(slot); // promote on write
+        llc_->setDirtyAt(slot);
         RRM_ASSERT(!ev.registration,
                    "one operation produced two LLC writes");
         ev.registration = true;
@@ -159,21 +149,20 @@ CacheHierarchy::fillIntoL2(unsigned core, Addr addr, HierarchyEvents &ev)
     }
 }
 
-void
-CacheHierarchy::fillIntoL1(unsigned core, Addr addr, HierarchyEvents &ev)
+std::size_t
+CacheHierarchy::fillIntoL1(unsigned core, Addr addr)
 {
-    (void)ev;
-    Cache &l1 = *l1s_[core];
-    Cache &l2 = *l2s_[core];
-
-    const Victim victim = l1.allocate(addr);
+    const Victim victim = l1s_[core]->allocate(addr);
     if (victim.valid && victim.dirty) {
         // L1 ⊆ L2: the victim's line is present in L2.
-        RRM_ASSERT(l2.contains(victim.addr),
+        Cache &l2 = *l2s_[core];
+        const std::size_t slot = l2.probe(victim.addr);
+        RRM_ASSERT(slot != Cache::npos,
                    "inclusion broken: L1 victim absent from L2");
-        l2.access(victim.addr);
-        l2.setDirty(victim.addr);
+        l2.touch(slot);
+        l2.setDirtyAt(slot);
     }
+    return victim.slot;
 }
 
 void
@@ -232,23 +221,6 @@ CacheHierarchy::audit() const
                   "LLC line 0x", std::hex, a, std::dec,
                   " has impossible owner ", owner);
     });
-}
-
-bool
-CacheHierarchy::checkInclusion() const
-{
-    bool ok = true;
-    for (unsigned c = 0; c < config_.numCores; ++c) {
-        l1s_[c]->forEachValidLine([&](Addr a) {
-            if (!l2s_[c]->contains(a))
-                ok = false;
-        });
-        l2s_[c]->forEachValidLine([&](Addr a) {
-            if (!llc_->contains(a))
-                ok = false;
-        });
-    }
-    return ok;
 }
 
 } // namespace rrm::cache

@@ -108,9 +108,6 @@ class CacheHierarchy : public Auditable
     void restoreCkpt(ckpt::ChunkReader &r);
     /** @} */
 
-    /** Verify the inclusion invariant (O(cache size); tests only). */
-    bool checkInclusion() const;
-
     // ---- Auditable ----
     std::string_view auditName() const override { return "hierarchy"; }
 
@@ -124,7 +121,8 @@ class CacheHierarchy : public Auditable
 
   private:
     void fillIntoL2(unsigned core, Addr addr, HierarchyEvents &ev);
-    void fillIntoL1(unsigned core, Addr addr, HierarchyEvents &ev);
+    /** @return the L1 slot the line now occupies. */
+    std::size_t fillIntoL1(unsigned core, Addr addr);
 
     HierarchyConfig config_;
     std::vector<std::unique_ptr<Cache>> l1s_;

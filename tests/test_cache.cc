@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
+#include "ckpt/ckpt.hh"
 
 namespace rrm::cache
 {
@@ -181,8 +182,45 @@ TEST(Cache, BadGeometryPanics)
     EXPECT_THROW(Cache{cfg}, PanicError);
 
     cfg = tinyConfig();
+    cfg.lineBytes = 1; // a tag could equal the empty-way sentinel
+    EXPECT_THROW(Cache{cfg}, PanicError);
+
+    cfg = tinyConfig();
     cfg.sizeBytes = 4096 + 64; // not whole sets
     EXPECT_THROW(Cache{cfg}, PanicError);
+}
+
+/**
+ * An invalidated way keeps no trace of its old line across a
+ * checkpoint round trip: the restored cache must not find it, and
+ * re-saving the restored cache reproduces the same bytes.
+ */
+TEST(Cache, CheckpointRoundTripDropsInvalidatedLines)
+{
+    Cache c(tinyConfig());
+    const Addr stride = 16 * 64;
+    for (int i = 0; i < 3; ++i)
+        c.allocate(0x40 + i * stride, i);
+    c.setDirty(0x40 + stride);
+    const Addr stale = 0x40 + 2 * stride;
+    c.invalidate(stale);
+    ASSERT_FALSE(c.contains(stale));
+
+    ckpt::ChunkWriter first;
+    c.saveCkpt(first);
+    Cache restored(tinyConfig());
+    ckpt::ChunkReader r(first.data().data(), first.size(), "CACH");
+    restored.restoreCkpt(r);
+    r.expectDone();
+
+    EXPECT_FALSE(restored.contains(stale));
+    EXPECT_TRUE(restored.contains(0x40));
+    EXPECT_TRUE(restored.isDirty(0x40 + stride));
+    EXPECT_EQ(restored.owner(0x40 + stride), 1);
+    EXPECT_EQ(restored.numValidLines(), c.numValidLines());
+    ckpt::ChunkWriter second;
+    restored.saveCkpt(second);
+    EXPECT_EQ(second.data(), first.data());
 }
 
 class CacheGeometry

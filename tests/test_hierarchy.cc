@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "cache/hierarchy.hh"
+#include "ckpt/ckpt.hh"
+#include "common/auditable.hh"
+#include "common/check.hh"
 #include "common/random.hh"
 
 namespace rrm::cache
@@ -245,6 +251,8 @@ TEST(Hierarchy, CoresHavePrivateUpperLevels)
 
 TEST(Hierarchy, InclusionHoldsUnderRandomTraffic)
 {
+    check::resetViolations();
+    check::ScopedFailurePolicy policy(check::FailurePolicy::LogAndCount);
     CacheHierarchy h(tinyHierarchy());
     Random rng(1234);
     for (int i = 0; i < 20000; ++i) {
@@ -254,10 +262,135 @@ TEST(Hierarchy, InclusionHoldsUnderRandomTraffic)
         if (h.access(core, addr, is_write).llcMiss)
             h.fill(core, addr, is_write);
         if (i % 1000 == 0) {
-            ASSERT_TRUE(h.checkInclusion()) << "iteration " << i;
+            ASSERT_EQ(runAudit(h), 0u) << "iteration " << i;
         }
     }
-    EXPECT_TRUE(h.checkInclusion());
+    EXPECT_EQ(runAudit(h), 0u);
+}
+
+/**
+ * Copy of `h` with the line holding `addr` removed from one cache,
+ * made through a CACH save -> edit -> restore round trip. `which`
+ * indexes the caches in checkpoint order: L1 and L2 of each core,
+ * core-major, then the LLC.
+ */
+std::unique_ptr<CacheHierarchy>
+copyWithoutLine(const CacheHierarchy &h, unsigned which, Addr addr)
+{
+    ckpt::ChunkWriter saved;
+    h.saveCkpt(saved);
+    ckpt::ChunkReader r(saved.data().data(), saved.size(), "CACH");
+    ckpt::ChunkWriter edited;
+    const unsigned caches = 2 * h.config().numCores + 1;
+    bool dropped = false;
+    for (unsigned c = 0; c < caches; ++c) {
+        edited.u64(r.u64()); // LRU clock
+        const std::uint32_t lines = r.u32();
+        edited.u32(lines);
+        for (std::uint32_t i = 0; i < lines; ++i) {
+            Addr tag = r.u64();
+            const std::uint64_t stamp = r.u64();
+            const std::uint32_t owner = r.u32();
+            bool valid = r.b();
+            bool dirty = r.b();
+            if (c == which && valid && tag == addr / 64) {
+                tag = 0;
+                valid = dirty = false;
+                dropped = true;
+            }
+            edited.u64(tag);
+            edited.u64(stamp);
+            edited.u32(owner);
+            edited.b(valid);
+            edited.b(dirty);
+        }
+    }
+    r.expectDone();
+    EXPECT_TRUE(dropped) << "line 0x" << std::hex << addr
+                         << " not found in cache " << which;
+
+    auto copy = std::make_unique<CacheHierarchy>(h.config());
+    ckpt::ChunkReader in(edited.data().data(), edited.size(), "CACH");
+    copy->restoreCkpt(in);
+    return copy;
+}
+
+/** Run `op`; expect a PanicError whose message contains `what`. */
+template <typename Op>
+void
+expectPanicMentioning(Op &&op, const std::string &what)
+{
+    try {
+        op();
+        ADD_FAILURE() << "no panic; expected '" << what << "'";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+/**
+ * Seeded inclusion break, L2 over LLC: a dirty L2 line whose LLC copy
+ * has vanished. The deep audit must report it, and the L2 eviction
+ * that tries to write it back must panic instead of writing nowhere.
+ */
+TEST(Hierarchy, SeededL2OverLlcInclusionBreakIsCaught)
+{
+    CacheHierarchy h(tinyHierarchy());
+    // L1 has 2 sets, L2 4, the LLC 16 (64 B lines). Blocks 2, 6, 10
+    // and 14 share line 0's L1 set but not its L2 or LLC set, so
+    // they push the dirty line 0 from L1 into L2 and no further.
+    h.fill(0, 0, true);
+    for (Addr block : {2, 6, 10, 14})
+        h.fill(0, block * 64, false);
+    ASSERT_FALSE(h.l1(0).contains(0));
+    ASSERT_TRUE(h.l2(0).isDirty(0));
+
+    const auto broken = copyWithoutLine(h, 4, 0); // 4 = the LLC
+    ASSERT_FALSE(broken->llc().contains(0));
+    {
+        check::resetViolations();
+        check::ScopedFailurePolicy policy(
+            check::FailurePolicy::LogAndCount);
+        EXPECT_GE(runAudit(*broken), 1u);
+        check::resetViolations();
+    }
+
+    // Blocks 4, 8 and 12 fill the rest of line 0's L2 set; block 16
+    // then evicts line 0 (the LRU way) from L2.
+    for (Addr block : {4, 8, 12})
+        broken->fill(0, block * 64, false);
+    expectPanicMentioning([&] { broken->fill(0, 16 * 64, false); },
+                          "inclusion broken: L2 victim absent from LLC");
+}
+
+/**
+ * Seeded inclusion break, L1 over L2: a dirty L1 line whose L2 copy
+ * has vanished must be reported by the audit and make the L1
+ * eviction panic.
+ */
+TEST(Hierarchy, SeededL1OverL2InclusionBreakIsCaught)
+{
+    CacheHierarchy h(tinyHierarchy());
+    h.fill(0, 0, true);
+    ASSERT_TRUE(h.l1(0).isDirty(0));
+
+    const auto broken = copyWithoutLine(h, 1, 0); // 1 = core 0's L2
+    ASSERT_FALSE(broken->l2(0).contains(0));
+    {
+        check::resetViolations();
+        check::ScopedFailurePolicy policy(
+            check::FailurePolicy::LogAndCount);
+        EXPECT_GE(runAudit(*broken), 1u);
+        check::resetViolations();
+    }
+
+    // Blocks 2, 6 and 10 fill the rest of line 0's L1 set (outside
+    // its L2 set); block 14 evicts line 0 from L1.
+    for (Addr block : {2, 6, 10})
+        broken->fill(0, block * 64, false);
+    expectPanicMentioning([&] { broken->fill(0, 14 * 64, false); },
+                          "inclusion broken: L1 victim absent from L2");
 }
 
 TEST(Hierarchy, AtMostOneRegistrationAndWritePerFill)
