@@ -119,8 +119,10 @@ benchFlagTable()
          [](BenchOptions &o, const std::string &v) {
              std::stringstream ss(v);
              std::string name;
-             while (std::getline(ss, name, ','))
+             while (std::getline(ss, name, ',')) {
+                 sys::parseScheme(name); // fatal() on an unknown name
                  o.schemes.push_back(name);
+             }
          }},
         numberFlag<unsigned>(
             "--jobs", "worker threads (0 = hardware concurrency, 1 = serial)",
@@ -449,12 +451,15 @@ makeConfig(const trace::Workload &workload, const sys::Scheme &scheme,
 
     const std::string run_tag =
         tag.empty() ? workload.name + "." + scheme.name() : tag;
+    // Passed through unconditionally: SystemConfig::validate judges
+    // the combination (a cadence without a directory, a resume
+    // without a cadence).
+    cfg.checkpointEveryEpochs = opts.checkpointEveryEpochs;
+    cfg.resumeFromCheckpoint = opts.resume;
     if (opts.checkpointEveryEpochs > 0 && !opts.checkpointDir.empty()) {
         // Each run owns a subdirectory: sibling runs of one plan
         // must not see each other's .rckpt files.
-        cfg.checkpointEveryEpochs = opts.checkpointEveryEpochs;
         cfg.checkpointDir = opts.checkpointDir + "/" + run_tag;
-        cfg.resumeFromCheckpoint = opts.resume;
         std::error_code ec;
         std::filesystem::create_directories(cfg.checkpointDir, ec);
         if (ec) {

@@ -34,6 +34,8 @@ struct CacheConfig
     unsigned assoc = 4;
     unsigned lineBytes = 64;
     Tick hitLatency = 1_ns;
+    /** Outstanding-miss budget; read only for the L1 (per-core
+     *  budget) and the LLC (memory reads), not for the L2. */
     unsigned mshrs = 8;
 };
 

@@ -25,7 +25,6 @@ defaultHierarchyConfig()
     cfg.l2.sizeBytes = 256_KiB;
     cfg.l2.assoc = 8;
     cfg.l2.hitLatency = 6_ns; // 12 cycles
-    cfg.l2.mshrs = 12;
 
     cfg.llc.name = "llc";
     cfg.llc.sizeBytes = 6_MiB;

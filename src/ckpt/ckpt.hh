@@ -58,7 +58,7 @@ std::uint32_t crc32(const void *data, std::size_t size,
                     std::uint32_t seed = 0);
 
 /** Current .rckpt format version; files of any other are refused. */
-constexpr std::uint32_t formatVersion = 2;
+constexpr std::uint32_t formatVersion = 3;
 
 /** Section id: four printable characters packed little-endian. */
 constexpr std::uint32_t

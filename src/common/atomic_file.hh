@@ -4,7 +4,7 @@
  * rename into place.
  *
  * Every report/record writer in the repo (run records, bench JSON,
- * sample CSV/JSONL, Perfetto, telemetry, checkpoints) goes through
+ * sample CSV, JSONL traces, Perfetto, telemetry, checkpoints) goes through
  * AtomicFile so a run killed mid-write never leaves a truncated
  * artifact behind under the final name: POSIX rename(2) within one
  * directory is atomic, so readers observe either the old file, no

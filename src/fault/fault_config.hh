@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/units.hh"
-#include "memctrl/start_gap.hh"
 
 namespace rrm::fault
 {
@@ -111,12 +110,6 @@ struct FaultConfig
     /** Consecutive saturated polls required to enter fallback. */
     unsigned fallbackEnterPolls = 2;
 
-    // ----- wear-leveling remap ----------------------------------------
-
-    /** Route block addresses through a StartGap remapper. */
-    bool useStartGap = false;
-    memctrl::StartGapParams startGap;
-
     /** Mixed with the system seed for the injector RNG streams. */
     std::uint64_t seed = 0;
 
@@ -125,8 +118,7 @@ struct FaultConfig
     enabled() const
     {
         return retentionTracking || transientWriteFailureRate > 0.0 ||
-               stuckAtWearThreshold > 0 || refreshStallSeconds > 0.0 ||
-               useStartGap;
+               stuckAtWearThreshold > 0 || refreshStallSeconds > 0.0;
     }
 
     double

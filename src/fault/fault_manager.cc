@@ -37,7 +37,6 @@ FaultManager::FaultManager(const FaultConfig &config,
     : config_(config), timeScale_(time_scale), queue_(queue),
       controller_(controller), wear_(wear), policy_(policy),
       addressMap_(memory), numChannels_(memory.numChannels),
-      blockBytes_(memory.blockBytes),
       injector_(config.transientWriteFailureRate, config.stuckAtRate,
                 config.seed ^ (system_seed * 0x9e3779b97f4a7c15ULL)),
       retention_(time_scale, config.trackRetentionMaxSeconds,
@@ -46,10 +45,6 @@ FaultManager::FaultManager(const FaultConfig &config,
       retirement_(memory.memoryBytes, memory.blockBytes,
                   config.spareBlocks)
 {
-    if (config_.useStartGap) {
-        startGap_ = std::make_unique<memctrl::StartGapRemapper>(
-            memory.memoryBytes, config_.startGap);
-    }
     retention_.setViolationCallback(
         [this](Addr block, Tick deadline, Tick now) {
             bump(statRetentionViolations_);
@@ -98,27 +93,7 @@ FaultManager::start()
 Addr
 FaultManager::translate(Addr block) const
 {
-    Addr phys = block;
-    if (startGap_)
-        phys = startGap_->remap(phys);
-    return retirement_.remap(phys);
-}
-
-void
-FaultManager::onDemandWriteIssued(Addr phys)
-{
-    if (!startGap_)
-        return;
-    if (startGap_->onWrite(phys)) {
-        // A gap move copies one StartGap line (lineBytes) to the gap
-        // slot: charge the copy's wear as block writes attributed to
-        // the written address's neighbourhood (same remap domain).
-        const std::uint64_t blocks =
-            std::max<std::uint64_t>(1,
-                config_.startGap.lineBytes / blockBytes_);
-        for (std::uint64_t i = 0; i < blocks; ++i)
-            wear_.recordBlockWrite(phys, pcm::WearCause::DemandWrite);
-    }
+    return retirement_.remap(block);
 }
 
 void
@@ -339,12 +314,6 @@ FaultManager::setRewriteCallback(RewriteCallback cb)
     rewrite_ = std::move(cb);
 }
 
-std::uint64_t
-FaultManager::startGapMoves() const
-{
-    return startGap_ ? startGap_->totalGapMoves() : 0;
-}
-
 void
 FaultManager::regStats(stats::StatGroup &root)
 {
@@ -393,13 +362,6 @@ FaultManager::regStats(stats::StatGroup &root)
                                       stamps
                                 : 0.0;
                  });
-    if (startGap_) {
-        g.addFormula("startGapMoves",
-                     "StartGap gap movements (cumulative)", [this] {
-                         return static_cast<double>(
-                             startGap_->totalGapMoves());
-                     });
-    }
 }
 
 void
@@ -411,9 +373,6 @@ FaultManager::saveCkpt(ckpt::ChunkWriter &w) const
     retention_.saveCkpt(w);
     ecp_.saveCkpt(w);
     retirement_.saveCkpt(w);
-    w.b(startGap_ != nullptr);
-    if (startGap_)
-        startGap_->saveCkpt(w);
     w.u64(retryAttempts_.size());
     for (const auto &[block, attempts] : retryAttempts_) {
         w.u64(block);
@@ -446,13 +405,6 @@ FaultManager::restoreCkpt(ckpt::ChunkReader &r)
     retention_.restoreCkpt(r);
     ecp_.restoreCkpt(r);
     retirement_.restoreCkpt(r);
-    const bool has_start_gap = r.b();
-    if (has_start_gap != (startGap_ != nullptr))
-        throw ckpt::CkptError(
-            "StartGap enablement differs between the checkpoint and "
-            "the configuration");
-    if (startGap_)
-        startGap_->restoreCkpt(r);
     retryAttempts_.clear();
     const std::uint64_t retries = r.u64();
     for (std::uint64_t i = 0; i < retries; ++i) {
@@ -521,8 +473,6 @@ FaultManager::audit() const
     retention_.audit();
     ecp_.audit();
     retirement_.audit();
-    if (startGap_)
-        runAudit(*startGap_);
     for (const auto &[block, attempts] : retryAttempts_) {
         RRM_AUDIT(attempts <= config_.maxWriteRetries,
                   "block ", block, " carries ", attempts,

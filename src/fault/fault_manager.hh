@@ -29,7 +29,6 @@
 #include "fault/retention_tracker.hh"
 #include "memctrl/address_map.hh"
 #include "memctrl/controller.hh"
-#include "memctrl/start_gap.hh"
 #include "obs/trace.hh"
 #include "pcm/wear_tracker.hh"
 #include "policy/write_policy.hh"
@@ -60,14 +59,11 @@ class FaultManager : public Auditable
     void start();
 
     /**
-     * Physical routing for a block address: StartGap remap first,
-     * then retirement remap. Applied by System to every controller
-     * address; cache-fill callbacks keep the logical address.
+     * Physical routing for a block address: the retirement remap.
+     * Applied by System to every controller address; cache-fill
+     * callbacks keep the logical address.
      */
     Addr translate(Addr block) const;
-
-    /** A demand write is about to issue to `phys` (StartGap wear). */
-    void onDemandWriteIssued(Addr phys);
 
     /** A demand write completed on the bus. */
     void onWriteCompleted(Addr phys, pcm::WriteMode mode, Tick when);
@@ -89,7 +85,6 @@ class FaultManager : public Auditable
     void regStats(stats::StatGroup &root);
 
     bool fallbackActive() const { return fallbackActive_; }
-    std::uint64_t startGapMoves() const;
     const RetentionTracker &retention() const { return retention_; }
 
     /**
@@ -105,7 +100,7 @@ class FaultManager : public Auditable
 
     /**
      * @{ Checkpoint injector RNG streams, retention deadlines, ECP /
-     * retirement maps, StartGap domains, retry bookkeeping, wear-level
+     * retirement maps, retry bookkeeping, wear-level
      * markers, fallback governor state, and the armed next-fire ticks
      * of the stall / governor tasks and the retention sweep.
      * restoreCkpt re-arms the periodic tasks in ascending last-arm
@@ -138,13 +133,11 @@ class FaultManager : public Auditable
     policy::WritePolicy *policy_;
     memctrl::AddressMap addressMap_;
     unsigned numChannels_;
-    std::uint64_t blockBytes_;
 
     FaultInjector injector_;
     RetentionTracker retention_;
     EcpRepair ecp_;
     LineRetirement retirement_;
-    std::unique_ptr<memctrl::StartGapRemapper> startGap_;
 
     obs::TraceSink *traceSink_ = nullptr;
     RewriteCallback rewrite_;

@@ -8,10 +8,7 @@
 #ifndef RRM_OBS_OBS_CONFIG_HH
 #define RRM_OBS_OBS_CONFIG_HH
 
-#include <cstdint>
 #include <string>
-
-#include "obs/trace.hh"
 
 namespace rrm::obs
 {
@@ -21,12 +18,9 @@ struct ObsOptions
 {
     /**
      * Trace output file; empty disables tracing entirely (the trace
-     * macros then cost one pointer test). JSONL by default.
+     * macros then cost one pointer test). JSONL.
      */
     std::string traceFile;
-
-    /** Human-readable text instead of JSONL. */
-    bool traceText = false;
 
     /**
      * Chrome-trace / Perfetto JSON timeline (loadable in
@@ -35,26 +29,12 @@ struct ObsOptions
      */
     std::string perfettoFile;
 
-    /** Enabled trace categories (bits of obs::TraceCategory). */
-    std::uint32_t traceCategories = traceAllCategories;
-
     /**
-     * Ring capacity used while no writer is attached (pre-attach
-     * buffering and sinks created without a file).
+     * Sampled time series as CSV; empty disables sampling. One row
+     * per RRM decay tick (0.125 s at native scale), or per
+     * 0.125 s / timeScale for static schemes.
      */
-    std::size_t traceRingCapacity = 4096;
-
-    /**
-     * Sampling interval in *scaled* seconds. 0 disables sampling;
-     * negative selects the RRM decay-tick interval (0.125 s at native
-     * scale — one row per decay epoch), or 0.125 s / timeScale for
-     * static schemes.
-     */
-    double sampleIntervalSeconds = 0.0;
-
-    /** Sampled time series outputs; empty = keep in memory only. */
     std::string sampleCsvFile;
-    std::string sampleJsonlFile;
 
     /**
      * Full run record (metadata + config + results + stats tree +
@@ -67,22 +47,20 @@ struct ObsOptions
 
     /**
      * Collect hot-path telemetry (event histograms, queue occupancy;
-     * see obs/telemetry.hh). Implied by either telemetry output file.
+     * see obs/telemetry.hh). Implied by the telemetry output file.
      * The telemetry stats tree is separate from the run record, so
      * seeded run records stay byte-identical either way.
      */
     bool telemetry = false;
 
-    /** Telemetry stats exports (JSON / CSV); empty = not written. */
+    /** Telemetry stats export (JSON); empty = not written. */
     std::string telemetryJsonFile;
-    std::string telemetryCsvFile;
 
     /** True if telemetry collection is requested. */
     bool
     telemetryEnabled() const
     {
-        return telemetry || !telemetryJsonFile.empty() ||
-               !telemetryCsvFile.empty();
+        return telemetry || !telemetryJsonFile.empty();
     }
 
     /** True if any observability feature is requested. */
@@ -90,10 +68,8 @@ struct ObsOptions
     anyEnabled() const
     {
         return !traceFile.empty() || !perfettoFile.empty() ||
-               sampleIntervalSeconds != 0.0 ||
-               !sampleCsvFile.empty() || !sampleJsonlFile.empty() ||
-               !runRecordFile.empty() || profiling ||
-               telemetryEnabled();
+               !sampleCsvFile.empty() || !runRecordFile.empty() ||
+               profiling || telemetryEnabled();
     }
 };
 

@@ -5,8 +5,6 @@
 
 #include "trace.hh"
 
-#include <fstream>
-#include <sstream>
 
 #include "common/atomic_file.hh"
 #include "common/logging.hh"
@@ -25,8 +23,6 @@ traceCategoryName(TraceCategory c)
         return "refresh";
       case TraceCategory::Queue:
         return "queue";
-      case TraceCategory::StartGap:
-        return "startgap";
       case TraceCategory::Sampler:
         return "sampler";
       case TraceCategory::Fault:
@@ -35,49 +31,6 @@ traceCategoryName(TraceCategory c)
         break;
     }
     return "?";
-}
-
-std::uint32_t
-parseTraceCategories(const std::string &list)
-{
-    std::uint32_t mask = 0;
-    std::stringstream ss(list);
-    std::string name;
-    while (std::getline(ss, name, ',')) {
-        if (name.empty())
-            continue;
-        if (name == "all") {
-            mask |= traceAllCategories;
-            continue;
-        }
-        bool found = false;
-        for (std::uint32_t i = 0;
-             i < static_cast<std::uint32_t>(
-                     TraceCategory::NumCategories);
-             ++i) {
-            const auto c = static_cast<TraceCategory>(i);
-            if (name == traceCategoryName(c)) {
-                mask |= traceBit(c);
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            fatal("unknown trace category '", name, "'");
-    }
-    return mask;
-}
-
-void
-TextTraceWriter::write(const TraceEvent &ev)
-{
-    os_ << ev.tick << " [" << traceCategoryName(ev.category) << "] "
-        << (ev.name ? ev.name : "?");
-    for (std::size_t i = 0; i < ev.numFields(); ++i) {
-        os_ << ' ' << ev.fields[i].key << '='
-            << jsonNumber(ev.fields[i].value);
-    }
-    os_ << '\n';
 }
 
 void
@@ -115,8 +68,7 @@ TeeTraceWriter::finish()
     b_->finish();
 }
 
-TraceSink::TraceSink(std::size_t capacity, std::uint32_t categories)
-    : capacity_(capacity), categoryMask_(categories)
+TraceSink::TraceSink(std::size_t capacity) : capacity_(capacity)
 {
     RRM_ASSERT(capacity_ > 0, "trace ring needs a positive capacity");
 }
@@ -198,10 +150,8 @@ class OwningFileWriter : public TraceWriter
 } // namespace
 
 std::unique_ptr<TraceWriter>
-openTraceFile(const std::string &path, bool text_format)
+openTraceFile(const std::string &path)
 {
-    if (text_format)
-        return std::make_unique<OwningFileWriter<TextTraceWriter>>(path);
     return std::make_unique<OwningFileWriter<JsonlTraceWriter>>(path);
 }
 

@@ -6,15 +6,13 @@
  * RRM_TRACE macro. Events carry a simulation tick, a category, a
  * static event name, and up to four (key, value) fields; they land in
  * a TraceSink, which either streams them to an attached TraceWriter
- * (null / human-readable text / JSONL) or buffers them in a bounded
- * ring that keeps the most recent events and counts the overwritten
- * ones.
+ * (JSONL, Perfetto) or buffers them in a bounded ring that keeps the
+ * most recent events and counts the overwritten ones.
  *
- * Cost model: with no sink attached the macro is one pointer test;
- * with a sink but the category masked off it is one pointer test plus
- * one bitmask test — field expressions are never evaluated. Compiling
- * with -DRRM_TRACE_DISABLED removes the macro body entirely so traced
- * hot paths carry zero overhead.
+ * Cost model: with no sink attached the macro is one pointer test and
+ * field expressions are never evaluated. Compiling with
+ * -DRRM_TRACE_DISABLED removes the macro body entirely so traced hot
+ * paths carry zero overhead.
  *
  * Field values are doubles: every quantity traced here (addresses
  * below a few GiB, counters, queue depths) is exactly representable
@@ -36,37 +34,19 @@
 namespace rrm::obs
 {
 
-/** Trace event categories; each is one bit in the sink's mask. */
+/** Trace event categories: the "cat" of every written event. */
 enum class TraceCategory : std::uint32_t
 {
     RrmLifecycle = 0, ///< RRM entry register/alloc/promote/decay/evict
     Refresh,          ///< refresh issue and completion
     Queue,            ///< controller queue occupancy changes
-    StartGap,         ///< Start-Gap gap movements
     Sampler,          ///< sampler self-reporting
     Fault,            ///< fault injection, violations, degradation
     NumCategories,
 };
 
-/** Bitmask bit of one category. */
-constexpr std::uint32_t
-traceBit(TraceCategory c)
-{
-    return 1u << static_cast<std::uint32_t>(c);
-}
-
-/** Mask enabling every category. */
-constexpr std::uint32_t traceAllCategories =
-    (1u << static_cast<std::uint32_t>(TraceCategory::NumCategories)) - 1;
-
 /** Stable lower-case name of a category (e.g. "rrm", "refresh"). */
 const char *traceCategoryName(TraceCategory c);
-
-/**
- * Parse a comma-separated category list ("rrm,refresh") into a mask;
- * "all" selects every category. Unknown names are fatal().
- */
-std::uint32_t parseTraceCategories(const std::string &list);
 
 /** One trace event. POD-sized; copied by value into the ring. */
 struct TraceEvent
@@ -126,25 +106,6 @@ class TraceWriter
     virtual void finish() {}
 };
 
-/** Discards every event (measuring trace overhead in benches). */
-class NullTraceWriter : public TraceWriter
-{
-  public:
-    void write(const TraceEvent &) override {}
-};
-
-/** Human-readable one-line-per-event text. */
-class TextTraceWriter : public TraceWriter
-{
-  public:
-    explicit TextTraceWriter(std::ostream &os) : os_(os) {}
-
-    void write(const TraceEvent &ev) override;
-
-  private:
-    std::ostream &os_;
-};
-
 /** Fans one event stream out to two writers (e.g. JSONL + Perfetto). */
 class TeeTraceWriter : public TraceWriter
 {
@@ -185,23 +146,12 @@ class JsonlTraceWriter : public TraceWriter
 class TraceSink
 {
   public:
-    explicit TraceSink(std::size_t capacity = 4096,
-                       std::uint32_t categories = traceAllCategories);
-
-    /** True if events of this category are collected. */
-    bool
-    enabled(TraceCategory c) const
-    {
-        return (categoryMask_ & traceBit(c)) != 0;
-    }
-
-    std::uint32_t categoryMask() const { return categoryMask_; }
-    void setCategoryMask(std::uint32_t mask) { categoryMask_ = mask; }
+    explicit TraceSink(std::size_t capacity = 4096);
 
     /** Attach a writer (flushes the ring into it); null detaches. */
     void setWriter(std::unique_ptr<TraceWriter> writer);
 
-    /** Record one event (callers should gate on enabled()). */
+    /** Record one event. */
     void record(const TraceEvent &ev);
 
     /** Drain buffered events to the writer, if one is attached. */
@@ -224,7 +174,6 @@ class TraceSink
 
   private:
     std::size_t capacity_;
-    std::uint32_t categoryMask_;
     std::deque<TraceEvent> ring_;
     std::unique_ptr<TraceWriter> writer_;
     std::uint64_t recorded_ = 0;
@@ -232,11 +181,10 @@ class TraceSink
 };
 
 /**
- * Open `path` and return a streaming writer (text or JSONL) that owns
- * the file stream. fatal() if the file cannot be opened.
+ * Open `path` and return a streaming JSONL writer that owns the file
+ * stream. fatal() if the file cannot be opened.
  */
-std::unique_ptr<TraceWriter> openTraceFile(const std::string &path,
-                                           bool text_format);
+std::unique_ptr<TraceWriter> openTraceFile(const std::string &path);
 
 } // namespace rrm::obs
 
@@ -249,14 +197,13 @@ std::unique_ptr<TraceWriter> openTraceFile(const std::string &path,
 
 #ifndef RRM_TRACE_DISABLED
 /**
- * Emit a trace event into `sink` (a TraceSink*, may be null) if the
- * category is enabled. Field expressions are only evaluated when the
- * event is actually recorded.
+ * Emit a trace event into `sink` (a TraceSink*, may be null). Field
+ * expressions are only evaluated when the event is actually recorded.
  */
 #define RRM_TRACE(sink, tick, category, name, ...)                          \
     do {                                                                    \
         ::rrm::obs::TraceSink *rrm_trace_sink_ = (sink);                    \
-        if (rrm_trace_sink_ && rrm_trace_sink_->enabled(category)) {        \
+        if (rrm_trace_sink_) {                                              \
             rrm_trace_sink_->record(::rrm::obs::makeTraceEvent(             \
                 (tick), (category), (name), ##__VA_ARGS__));                \
         }                                                                   \

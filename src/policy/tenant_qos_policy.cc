@@ -64,10 +64,8 @@ TenantQosPolicy::TenantQosPolicy(std::unique_ptr<WritePolicy> inner,
     attempted_.assign(num, 0);
     boosted_.assign(num, 0);
     boostedTotal_.assign(num, 0);
-    throttledTotal_.assign(num, 0);
     noisyEpochsTotal_.assign(num, 0);
     noisy_.assign(num, 0);
-    statThrottled_.assign(num, nullptr);
     statNoisyEpochs_.assign(num, nullptr);
     statBoosted_.assign(num, nullptr);
 }
@@ -97,28 +95,11 @@ TenantQosPolicy::stop()
     inner_->stop();
 }
 
-pcm::WriteMode
-TenantQosPolicy::writeModeFor(Addr block_addr) const
-{
-    const unsigned t = layout_.tenantOfAddr(block_addr);
-    if (config_.demoteNoisy && noisy_[t]) {
-        const monitor::RegionMonitor *mon = inner_->monitor();
-        return mon ? mon->config().slowMode : pcm::WriteMode::Sets7;
-    }
-    return inner_->writeModeFor(block_addr);
-}
-
 void
 TenantQosPolicy::registerLlcWrite(Addr addr, bool was_dirty)
 {
     const unsigned t = layout_.tenantOfAddr(addr);
     ++attempted_[t];
-    if (config_.demoteNoisy && noisy_[t]) {
-        ++throttledTotal_[t];
-        if (statThrottled_[t])
-            ++*statThrottled_[t];
-        return;
-    }
     if (boosted_[t] < quota_[t]) {
         // Inside the tenant's guaranteed allotment: bypass the
         // streaming filter so neighbour-induced LLC evictions cannot
@@ -165,10 +146,6 @@ TenantQosPolicy::regStats(stats::StatGroup &root)
             "boostedRegs",
             "registrations boosted past the streaming filter under "
             "the tenant's allotment");
-        statThrottled_[t] = &g.addScalar(
-            "throttledRegs",
-            "registrations dropped while the tenant was noisy "
-            "(demoteNoisy)");
         statNoisyEpochs_[t] = &g.addScalar(
             "noisyEpochs", "epochs this tenant was marked noisy");
     }
@@ -182,7 +159,6 @@ TenantQosPolicy::writeConfigJson(obs::JsonWriter &json) const
     json.beginObject();
     json.field("budgetFactor", config_.budgetFactor);
     json.field("noisyFactor", config_.noisyFactor);
-    json.field("demoteNoisy", config_.demoteNoisy);
     json.field("epochTicks", epochTicks_);
     json.key("tenantQuotas");
     json.beginArray();
@@ -201,7 +177,6 @@ TenantQosPolicy::saveCkpt(ckpt::ChunkWriter &w) const
         w.u64(attempted_[t]);
         w.u64(boosted_[t]);
         w.u64(boostedTotal_[t]);
-        w.u64(throttledTotal_[t]);
         w.u64(noisyEpochsTotal_[t]);
         w.b(noisy_[t] != 0);
     }
@@ -223,7 +198,6 @@ TenantQosPolicy::restoreCkpt(ckpt::ChunkReader &r)
         attempted_[t] = r.u64();
         boosted_[t] = r.u64();
         boostedTotal_[t] = r.u64();
-        throttledTotal_[t] = r.u64();
         noisyEpochsTotal_[t] = r.u64();
         noisy_[t] = r.b() ? 1 : 0;
     }

@@ -17,13 +17,10 @@
  * bandwidth per epoch.
  *
  * A tenant attempting more than `noisyFactor x` its allotment in one
- * epoch is marked noisy for the next. With `demoteNoisy` (the
- * optional lifetime lever, off by default) a noisy tenant's
- * registrations are dropped entirely and its demand writes demote to
- * the slow mode, shedding its fast-write retention obligations; the
- * default leaves noisy tenants on the filtered path, because slow
- * writes occupy the shared banks longer (1150 ns vs 550 ns) and the
- * extra occupancy is exactly what a quiet neighbour suffers from.
+ * epoch is marked noisy for the next. A noisy tenant stays on the
+ * filtered path: demoting its writes to the slow mode would occupy
+ * the shared banks longer (1150 ns vs 550 ns), and that extra
+ * occupancy is exactly what a quiet neighbour suffers from.
  *
  * The decorator only uses the WritePolicy interface plus the
  * monitor's read-only config. With a single tenant the whole
@@ -111,14 +108,6 @@ struct TenantQosConfig
      */
     double noisyFactor = 2.0;
 
-    /**
-     * Lifetime lever: drop a noisy tenant's registrations and demote
-     * its demand writes to the slow mode. Off by default — slow
-     * writes hold the shared banks longer, which is what the quiet
-     * tenants are being protected from (see the file comment).
-     */
-    bool demoteNoisy = false;
-
     /** Append one message per violated invariant. */
     void
     collectErrors(std::vector<std::string> &errors) const
@@ -135,8 +124,7 @@ struct TenantQosConfig
     {
         const TenantQosConfig def;
         return budgetFactor != def.budgetFactor ||
-               noisyFactor != def.noisyFactor ||
-               demoteNoisy != def.demoteNoisy;
+               noisyFactor != def.noisyFactor;
     }
 };
 
@@ -154,7 +142,10 @@ class TenantQosPolicy final : public WritePolicy
     void start() override;
     void stop() override;
 
-    pcm::WriteMode writeModeFor(Addr block_addr) const override;
+    pcm::WriteMode writeModeFor(Addr block_addr) const override
+    {
+        return inner_->writeModeFor(block_addr);
+    }
     Tick accessLatency() const override { return inner_->accessLatency(); }
 
     bool isFastMode(pcm::WriteMode mode) const override
@@ -228,11 +219,6 @@ class TenantQosPolicy final : public WritePolicy
     std::uint64_t tenantQuota(unsigned t) const { return quota_[t]; }
     bool tenantNoisy(unsigned t) const { return noisy_[t]; }
     std::uint64_t
-    tenantThrottled(unsigned t) const
-    {
-        return throttledTotal_[t];
-    }
-    std::uint64_t
     tenantBoosted(unsigned t) const
     {
         return boostedTotal_[t];
@@ -256,7 +242,6 @@ class TenantQosPolicy final : public WritePolicy
     std::vector<std::uint64_t> attempted_; ///< registrations this epoch
     std::vector<std::uint64_t> boosted_; ///< filter bypasses this epoch
     std::vector<std::uint64_t> boostedTotal_;   ///< cumulative bypasses
-    std::vector<std::uint64_t> throttledTotal_; ///< cumulative drops
     std::vector<std::uint64_t> noisyEpochsTotal_;
     // std::vector<bool> is avoided: per-element addresses are taken
     // by the tests and the ckpt path.
@@ -264,7 +249,6 @@ class TenantQosPolicy final : public WritePolicy
 
     std::unique_ptr<PeriodicTask> epochTask_;
 
-    std::vector<stats::Scalar *> statThrottled_;
     std::vector<stats::Scalar *> statNoisyEpochs_;
     std::vector<stats::Scalar *> statBoosted_;
 };

@@ -17,7 +17,7 @@
  *
  * Output goes through the StatVisitor interface: a visitor walks the
  * tree in registration order and receives one typed callback per
- * stat, which is how the text, JSON and CSV writers all render the
+ * stat, which is how the text and JSON writers both render the
  * same tree (see TextStatWriter here and obs/stat_writers.hh).
  * StatGroup::dump() remains as the canonical text report, implemented
  * on top of TextStatWriter.

@@ -100,7 +100,6 @@ struct SimResults
         std::uint64_t refreshStalls = 0;
         std::uint64_t fallbackEntries = 0;
         std::uint64_t fallbackExits = 0;
-        std::uint64_t startGapMoves = 0;
     };
     FaultResults fault;
 

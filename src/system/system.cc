@@ -6,6 +6,7 @@
 #include "system.hh"
 
 #include <fstream>
+#include <sstream>
 
 #include "common/atomic_file.hh"
 
@@ -19,6 +20,30 @@
 
 namespace rrm::sys
 {
+
+namespace
+{
+
+/**
+ * True if secondsToTicks(seconds) is at least one tick and fits in
+ * Tick. Checked on the double, before any conversion; NaN fails.
+ */
+bool
+convertsToTicks(double seconds)
+{
+    const double ticks = seconds * static_cast<double>(tickPerSec) + 0.5;
+    return ticks >= 1.0 && ticks < 0x1p64;
+}
+
+std::string
+numberText(double v)
+{
+    std::ostringstream os;
+    os << v;
+    return os.str();
+}
+
+} // namespace
 
 std::vector<std::string>
 SystemConfig::validate() const
@@ -35,11 +60,29 @@ SystemConfig::validate() const
                          std::to_string(workload.numCores()));
     }
     trace::collectTenantErrors(workload, errors);
-    if (timeScale < 1.0)
+    // The shortest scaled period a run arms is the 0.125 s decay
+    // tick (sampler and checkpoint cadence of static schemes).
+    if (timeScale < 1.0) {
         errors.push_back("time scale must be >= 1");
-    if (windowSeconds <= 0.0)
+    } else if (!convertsToTicks(0.125 / timeScale)) {
+        errors.push_back("time scale " + numberText(timeScale) +
+                         " shrinks the 0.125 s decay tick below one "
+                         "tick");
+    }
+    const bool warmup_ok = warmupFraction >= 0.0 && warmupFraction < 1.0;
+    if (windowSeconds <= 0.0) {
         errors.push_back("window must be positive");
-    if (warmupFraction < 0.0 || warmupFraction >= 1.0)
+    } else if (!convertsToTicks(windowSeconds)) {
+        errors.push_back("window of " + numberText(windowSeconds) +
+                         " s is not between 1 tick (1 ps) and the "
+                         "largest tick count");
+    } else if (warmup_ok &&
+               secondsToTicks(windowSeconds * warmupFraction) ==
+                   secondsToTicks(windowSeconds)) {
+        errors.push_back("window of " + numberText(windowSeconds) +
+                         " s leaves no measured tick after warmup");
+    }
+    if (!warmup_ok)
         errors.push_back("warmup fraction must be in [0, 1)");
 
     scheme.collectConfigErrors(rrm, adaptive, qos, timeScale, errors);
@@ -274,11 +317,10 @@ System::setupObservability()
     const obs::ObsOptions &o = config_.obs;
 
     if (!o.traceFile.empty() || !o.perfettoFile.empty()) {
-        traceSink_ = std::make_unique<obs::TraceSink>(
-            o.traceRingCapacity, o.traceCategories);
+        traceSink_ = std::make_unique<obs::TraceSink>();
         std::unique_ptr<obs::TraceWriter> writer;
         if (!o.traceFile.empty())
-            writer = obs::openTraceFile(o.traceFile, o.traceText);
+            writer = obs::openTraceFile(o.traceFile);
         if (!o.perfettoFile.empty()) {
             auto perfetto = obs::openPerfettoFile(o.perfettoFile);
             writer = writer
@@ -304,25 +346,16 @@ System::setupObservability()
         policy_->setProfiler(selfProfiler_.get());
     }
 
-    const bool want_sampling = o.sampleIntervalSeconds != 0.0 ||
-                               !o.sampleCsvFile.empty() ||
-                               !o.sampleJsonlFile.empty();
-    if (!want_sampling)
+    if (o.sampleCsvFile.empty())
         return;
 
-    // Negative (and the 0-but-file-requested case) selects the
-    // policy's preferred cadence (the RRM decay tick, so every sample
-    // row observes exactly one settled decay epoch); policies without
-    // one fall back to the paper's native 0.125 s tick compressed by
-    // the time scale.
-    Tick interval;
-    if (o.sampleIntervalSeconds > 0.0) {
-        interval = secondsToTicks(o.sampleIntervalSeconds);
-    } else {
-        interval = policy_->preferredSampleInterval();
-        if (interval == 0)
-            interval = secondsToTicks(0.125 / config_.timeScale);
-    }
+    // The policy's preferred cadence (the RRM decay tick, so every
+    // sample row observes exactly one settled decay epoch); policies
+    // without one fall back to the paper's native 0.125 s tick
+    // compressed by the time scale.
+    Tick interval = policy_->preferredSampleInterval();
+    if (interval == 0)
+        interval = secondsToTicks(0.125 / config_.timeScale);
     sampler_ = std::make_unique<obs::Sampler>(queue_, interval);
     sampler_->setTraceSink(traceSink_.get());
 
@@ -447,7 +480,7 @@ void
 System::tryEnqueueRead(unsigned core, Addr line)
 {
     RRM_ASSERT(line < config_.memory.memoryBytes, "bad read line");
-    // The controller sees the translated (StartGap/retirement)
+    // The controller sees the translated (retirement-remapped)
     // address; the fill callback keeps the logical line.
     const Addr phys = faultMgr_ ? faultMgr_->translate(line) : line;
     const bool ok = controller_->enqueueRead(
@@ -509,11 +542,7 @@ System::issueMemoryWrite(Addr addr, Tick when)
     const pcm::WriteMode mode = policy_->writeModeFor(addr);
     when += policy_->accessLatency();
 
-    Addr phys = addr;
-    if (faultMgr_) {
-        phys = faultMgr_->translate(addr);
-        faultMgr_->onDemandWriteIssued(phys);
-    }
+    const Addr phys = faultMgr_ ? faultMgr_->translate(addr) : addr;
     wear_.recordBlockWrite(phys, pcm::WearCause::DemandWrite);
     meas_.demandWriteEnergy += energy_.blockWriteEnergy(mode);
     TenantCounters *tc = tenantCountersForAddr(addr);
@@ -789,28 +818,16 @@ System::writeObsOutputs(const SimResults &r)
 
     if (sampler_) {
         sampler_->stop();
-        if (!o.sampleCsvFile.empty()) {
-            write(o.sampleCsvFile,
-                  [&](std::ostream &os) { sampler_->writeCsv(os); });
-        }
-        if (!o.sampleJsonlFile.empty()) {
-            write(o.sampleJsonlFile,
-                  [&](std::ostream &os) { sampler_->writeJsonl(os); });
-        }
+        write(o.sampleCsvFile,
+              [&](std::ostream &os) { sampler_->writeCsv(os); });
     }
     if (!o.runRecordFile.empty()) {
         write(o.runRecordFile,
               [&](std::ostream &os) { writeRunRecord(os, r); });
     }
-    if (telemetry_) {
-        if (!o.telemetryJsonFile.empty()) {
-            write(o.telemetryJsonFile,
-                  [&](std::ostream &os) { telemetry_->writeJson(os); });
-        }
-        if (!o.telemetryCsvFile.empty()) {
-            write(o.telemetryCsvFile,
-                  [&](std::ostream &os) { telemetry_->writeCsv(os); });
-        }
+    if (telemetry_ && !o.telemetryJsonFile.empty()) {
+        write(o.telemetryJsonFile,
+              [&](std::ostream &os) { telemetry_->writeJson(os); });
     }
     if (traceSink_)
         traceSink_->finishWriter();
@@ -868,7 +885,6 @@ System::writeConfigJson(obs::JsonWriter &json) const
         json.field("refreshStallSeconds",
                    config_.fault.refreshStallSeconds);
         json.field("fallback", config_.fault.fallback);
-        json.field("useStartGap", config_.fault.useStartGap);
         json.field("seed", config_.fault.seed);
         json.endObject();
     }
@@ -1028,7 +1044,6 @@ System::collectResults(Tick measure_start, Tick measure_end)
         r.fault.refreshStalls = scalar("refreshStalls");
         r.fault.fallbackEntries = scalar("fallbackEntries");
         r.fault.fallbackExits = scalar("fallbackExits");
-        r.fault.startGapMoves = faultMgr_->startGapMoves();
     }
 
     return r;

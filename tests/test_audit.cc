@@ -14,7 +14,6 @@
 #include "cache/hierarchy.hh"
 #include "common/auditable.hh"
 #include "common/random.hh"
-#include "memctrl/start_gap.hh"
 #include "pcm/wear_tracker.hh"
 #include "rrm/region_monitor.hh"
 #include "sim/event_queue.hh"
@@ -169,71 +168,6 @@ TEST_F(AuditTest, RegionMonitorCorruptionThrowsUnderThrowPolicy)
     monitor::RegionMonitorTestAccess::corruptHotFlag(f.rrm, 0x1000,
                                                      true);
     EXPECT_THROW(f.rrm.audit(), check::CheckError);
-}
-
-// ---------------------------------------------------------------------
-// Start-Gap wear leveling
-// ---------------------------------------------------------------------
-
-TEST_F(AuditTest, StartGapDomainPassesAuditThroughRotation)
-{
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
-    memctrl::StartGapDomain d(64, 4);
-    d.audit();
-    // Sweep more than one full gap rotation, auditing as we go.
-    for (int i = 0; i < 300; ++i) {
-        d.onWrite();
-        d.audit();
-    }
-    EXPECT_GT(d.gapMoves(), 64u);
-    EXPECT_EQ(check::violationCount(check::ViolationKind::Audit), 0u);
-}
-
-TEST_F(AuditTest, AuditCatchesStartOutOfRange)
-{
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
-    memctrl::StartGapDomain d(64, 4);
-    memctrl::StartGapTestAccess::setStart(d, 64); // valid: 0..63
-    const std::uint64_t before =
-        check::violationCount(check::ViolationKind::Audit);
-    d.audit();
-    EXPECT_GT(check::violationCount(check::ViolationKind::Audit),
-              before);
-}
-
-TEST_F(AuditTest, AuditCatchesGapOutOfRange)
-{
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
-    memctrl::StartGapDomain d(64, 4);
-    memctrl::StartGapTestAccess::setGap(d, 66); // valid: 0..64
-    const std::uint64_t before =
-        check::violationCount(check::ViolationKind::Audit);
-    d.audit();
-    EXPECT_GT(check::violationCount(check::ViolationKind::Audit),
-              before);
-}
-
-TEST_F(AuditTest, AuditCatchesRotationBookkeepingDrift)
-{
-    ScopedFailurePolicy policy(FailurePolicy::Throw);
-    memctrl::StartGapDomain d(64, 4);
-    memctrl::StartGapTestAccess::setWritesSinceMove(d, 9); // period 4
-    EXPECT_THROW(d.audit(), check::CheckError);
-}
-
-TEST_F(AuditTest, StartGapRemapperPassesAuditUnderTraffic)
-{
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
-    memctrl::StartGapParams params;
-    params.lineBytes = 256;
-    params.linesPerDomain = 128;
-    params.gapWritePeriod = 8;
-    memctrl::StartGapRemapper remapper(256_KiB, params);
-    Random rng(7);
-    for (int i = 0; i < 5000; ++i)
-        remapper.onWrite(rng.uniform(256_KiB / 256) * 256);
-    EXPECT_EQ(runAudit(remapper), 0u);
-    EXPECT_GT(remapper.totalGapMoves(), 0u);
 }
 
 // ---------------------------------------------------------------------

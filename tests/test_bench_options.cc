@@ -3,7 +3,8 @@
  * Tests for bench command-line parsing (bench/bench_common.hh): every
  * numeric flag goes through one checked parser, so a malformed value
  * is a fatal error naming the flag and the value instead of a silent
- * 0 or a wrapped-around unsigned.
+ * 0 or a wrapped-around unsigned. Scheme names are checked at parse
+ * time, and checkpoint flags reach SystemConfig::validate.
  */
 
 #include <gtest/gtest.h>
@@ -103,6 +104,44 @@ TEST(BenchOptions, EveryNumericFlagIsChecked)
           "--fault-stall-period-ms"}) {
         expectRejected(flag, "x");
     }
+}
+
+TEST(BenchOptions, UnknownSchemeNameIsRejectedAtParse)
+{
+    try {
+        parseArgs({"--schemes", "RRM,bogus"});
+        ADD_FAILURE() << "--schemes bogus was accepted";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("unknown scheme 'bogus'"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("valid: "), std::string::npos) << msg;
+    }
+    EXPECT_EQ(parseArgs({"--schemes", "rrm,Static-7-SETs"}).schemes.size(),
+              2u);
+}
+
+/** Checkpoint flags reach SystemConfig, which judges the combination. */
+TEST(BenchOptions, CheckpointFlagsReachConfigValidation)
+{
+    const auto errorsOf = [](std::vector<std::string> args) {
+        return makeConfig(trace::workloadFromName("hmmer"),
+                          sys::Scheme::rrmScheme(), parseArgs(args))
+            .validate();
+    };
+    const std::vector<std::string> every =
+        errorsOf({"--checkpoint-every", "1"});
+    ASSERT_EQ(every.size(), 1u);
+    EXPECT_NE(every[0].find("requires a checkpointDir"), std::string::npos)
+        << every[0];
+
+    const std::vector<std::string> resume = errorsOf({"--resume"});
+    ASSERT_EQ(resume.size(), 1u);
+    EXPECT_NE(resume[0].find("resumeFromCheckpoint requires"),
+              std::string::npos)
+        << resume[0];
+
+    EXPECT_TRUE(errorsOf({}).empty());
 }
 
 } // namespace

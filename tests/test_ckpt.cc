@@ -260,39 +260,46 @@ TEST(CkptContainer, OlderFormatVersionIsRefusedByName)
     ckpt::ChunkWriter payload;
     payload.u64(7);
     writer.section(ckpt::sectionId('T', 'S', 'T', 'A'), payload);
-    std::vector<std::uint8_t> old = writer.serialize();
+    const std::vector<std::uint8_t> current = writer.serialize();
 
-    // Rewrite it as an intact version-1 file: patch the version word
-    // and re-seal the header and whole-file CRCs, so the version check
-    // is the only thing left to object.
-    const auto put32 = [&](std::size_t at, std::uint32_t v) {
-        for (int i = 0; i < 4; ++i)
-            old[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-    };
-    put32(8, 1);
-    put32(kHeaderSize - 4, ckpt::crc32(old.data(), kHeaderSize - 4));
-    const std::size_t trailerAt = old.size() - 8;
-    put32(trailerAt, ckpt::crc32(old.data(), trailerAt));
+    // Version 1 predates the CACH access-counter removal, version 2
+    // the FLT0 Start-Gap and POLI throttle-counter removals.
+    for (const std::uint32_t version : {1u, 2u}) {
+        // Rewrite it as an intact older file: patch the version word
+        // and re-seal the header and whole-file CRCs, so the version
+        // check is the only thing left to object.
+        std::vector<std::uint8_t> old = current;
+        const auto put32 = [&](std::size_t at, std::uint32_t v) {
+            for (int i = 0; i < 4; ++i)
+                old[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+        };
+        put32(8, version);
+        put32(kHeaderSize - 4, ckpt::crc32(old.data(), kHeaderSize - 4));
+        const std::size_t trailerAt = old.size() - 8;
+        put32(trailerAt, ckpt::crc32(old.data(), trailerAt));
 
-    const fs::path dir = freshDir("old_version");
-    const fs::path path = dir / "ckpt-00000001.rckpt";
-    {
-        std::ofstream os(path, std::ios::binary);
-        os.write(reinterpret_cast<const char *>(old.data()),
-                 static_cast<std::streamsize>(old.size()));
+        const fs::path dir = freshDir("old_version");
+        const fs::path path = dir / "ckpt-00000001.rckpt";
+        {
+            std::ofstream os(path, std::ios::binary);
+            os.write(reinterpret_cast<const char *>(old.data()),
+                     static_cast<std::streamsize>(old.size()));
+        }
+        try {
+            ckpt::CkptReader reader(path.string());
+            ADD_FAILURE() << "a version-" << version
+                          << " checkpoint was accepted";
+        } catch (const ckpt::CkptError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(path.string()), std::string::npos) << msg;
+            EXPECT_NE(msg.find("format version mismatch (file has " +
+                               std::to_string(version) +
+                               ", this build reads 3)"),
+                      std::string::npos)
+                << msg;
+        }
+        fs::remove_all(dir);
     }
-    try {
-        ckpt::CkptReader reader(path.string());
-        FAIL() << "a version-1 checkpoint was accepted";
-    } catch (const ckpt::CkptError &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find(path.string()), std::string::npos) << msg;
-        EXPECT_NE(msg.find("format version mismatch (file has 1, this "
-                           "build reads 2)"),
-                  std::string::npos)
-            << msg;
-    }
-    fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------

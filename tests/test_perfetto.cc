@@ -116,13 +116,13 @@ TEST(Perfetto, SinkFinishWriterFlushesRingAndWritesTrailer)
     std::ostringstream os;
     TraceSink sink(/*capacity=*/16);
     // Buffered before a writer exists; attached writer gets the ring.
-    sink.record(ev(5, TraceCategory::StartGap, "gapMove",
+    sink.record(ev(5, TraceCategory::Fault, "lineRetired",
                    {"from", 1.0}, {"to", 2.0}));
     sink.setWriter(std::make_unique<PerfettoTraceWriter>(os));
     sink.finishWriter();
     const std::string text = os.str();
-    EXPECT_NE(text.find("\"gapMove\""), std::string::npos);
-    EXPECT_NE(text.find("\"cat\":\"startgap\""), std::string::npos);
+    EXPECT_NE(text.find("\"lineRetired\""), std::string::npos);
+    EXPECT_NE(text.find("\"cat\":\"fault\""), std::string::npos);
     EXPECT_EQ(text.substr(text.size() - 4), "\n]}\n");
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Sampler behaviour: column registration, stat-path resolution,
- * CSV/JSONL rendering, and — the part that matters for analysis —
+ * CSV rendering, and — the part that matters for analysis —
  * alignment of periodic samples with the RRM decay epoch: a sample
  * scheduled on a decay tick must observe the post-decay state of
  * that tick (EventPriority::Sampler runs last within a tick).
@@ -126,11 +126,6 @@ TEST(Sampler, CsvAndJsonlFormats)
     std::ostringstream csv;
     sampler.writeCsv(csv);
     EXPECT_EQ(csv.str(), "time_s,hot,frac\n0.5,3,0.5\n");
-
-    std::ostringstream jsonl;
-    sampler.writeJsonl(jsonl);
-    EXPECT_EQ(jsonl.str(),
-              "{\"time_s\":0.5,\"hot\":3,\"frac\":0.5}\n");
 }
 
 TEST(Sampler, ReportsEachSampleToTheTraceSink)

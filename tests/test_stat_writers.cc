@@ -1,10 +1,10 @@
 /**
  * @file
- * Machine-readable stat export: JSON/CSV golden files over a
- * hand-built stats tree, the deterministic number/escape/quote
- * helpers, JsonWriter structure management, and the end-to-end
- * guarantee the exporters exist for — two identically seeded
- * simulations export byte-identical stats JSON.
+ * Machine-readable stat export: JSON golden files over a hand-built
+ * stats tree, the deterministic number/escape helpers, JsonWriter
+ * structure management, and the end-to-end guarantee the exporters
+ * exist for — two identically seeded simulations export
+ * byte-identical stats JSON.
  */
 
 #include <gtest/gtest.h>
@@ -39,14 +39,6 @@ TEST(JsonNumber, IntegersFractionsAndNonFinite)
     EXPECT_EQ(jsonNumber(std::nan("")), "null");
     // At 2^53 and beyond integrality is no longer trustworthy: %g.
     EXPECT_EQ(jsonNumber(9007199254740992.0), "9007199254740992");
-}
-
-TEST(CsvQuote, QuotesOnlyWhenNeeded)
-{
-    EXPECT_EQ(csvQuote("plain.path"), "plain.path");
-    EXPECT_EQ(csvQuote("a,b"), "\"a,b\"");
-    EXPECT_EQ(csvQuote("say \"hi\""), "\"say \"\"hi\"\"\"");
-    EXPECT_EQ(csvQuote("two\nlines"), "\"two\nlines\"");
 }
 
 TEST(JsonWriter, NestedStructuresWithCommaManagement)
@@ -127,28 +119,6 @@ TEST(StatWriters, JsonGoldenFile)
               "\"buckets\":{\"< 100\":1,\">= 100\":0}}}}\n");
 }
 
-TEST(StatWriters, CsvGoldenFile)
-{
-    stats::StatGroup root("system");
-    buildTree(root);
-
-    std::ostringstream os;
-    writeStatsCsv(os, root);
-    EXPECT_EQ(os.str(),
-              "stat,value,description\n"
-              "system.reads,10,read count\n"
-              "system.pcm.writes,4,write count\n"
-              "system.pcm.perBank::b0,0,per-bank writes\n"
-              "system.pcm.perBank::b1,3,per-bank writes\n"
-              "system.pcm.perBank::total,3,per-bank writes\n"
-              "system.pcm.fast,1,fast writes\n"
-              "system.pcm.fastFrac,0.25,fast fraction\n"
-              "system.pcm.lat::samples,1,latency\n"
-              "system.pcm.lat::mean,50,latency\n"
-              "system.pcm.lat::< 100,1,latency\n"
-              "system.pcm.lat::>= 100,0,latency\n");
-}
-
 namespace
 {
 
@@ -176,25 +146,6 @@ TEST(StatWriters, HistogramJsonGoldenFormat)
     EXPECT_EQ(os.str(),
               "{\"lat\":{\"samples\":4,\"mean\":3,\"min\":0,\"max\":6,"
               "\"buckets\":{\"0\":1,\"[1,2)\":1,\"[4,8)\":2}}}\n");
-}
-
-TEST(StatWriters, HistogramCsvGoldenFormat)
-{
-    stats::StatGroup root("telemetry");
-    buildHistogramTree(root);
-
-    std::ostringstream os;
-    writeStatsCsv(os, root);
-    // Bucket labels contain commas, so those stat names are quoted.
-    EXPECT_EQ(os.str(),
-              "stat,value,description\n"
-              "telemetry.lat::samples,4,latency\n"
-              "telemetry.lat::mean,3,latency\n"
-              "telemetry.lat::min,0,latency\n"
-              "telemetry.lat::max,6,latency\n"
-              "telemetry.lat::0,1,latency\n"
-              "\"telemetry.lat::[1,2)\",1,latency\n"
-              "\"telemetry.lat::[4,8)\",2,latency\n");
 }
 
 TEST(StatWriters, HistogramTextDumpListsMomentsAndBuckets)

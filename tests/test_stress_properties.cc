@@ -1,9 +1,8 @@
 /**
  * @file
  * Randomized stress/property tests across modules: structural
- * invariants that must hold under arbitrary traffic, determinism
- * under replay, and the wear-spreading property of Start-Gap when
- * driven by a skewed write stream.
+ * invariants that must hold under arbitrary traffic and determinism
+ * under replay.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +12,6 @@
 
 #include "common/random.hh"
 #include "memctrl/controller.hh"
-#include "memctrl/start_gap.hh"
-#include "pcm/wear_tracker.hh"
 #include "rrm/region_monitor.hh"
 
 namespace rrm
@@ -150,62 +147,6 @@ TEST(ControllerProperty, RandomMixAlwaysDrains)
                   static_cast<std::size_t>(accepted_reads));
         for (const auto &[id, count] : completions)
             ASSERT_EQ(count, 1) << "read " << id << " seed " << seed;
-    }
-}
-
-/**
- * Wear-leveling property: hammering a single 4 KB region through the
- * Start-Gap remapper spreads the wear the tracker sees across many
- * physical regions, while without remapping it lands on one.
- */
-TEST(StartGapProperty, SpreadsTrackedWearOfAHotSpot)
-{
-    const std::uint64_t mem = 16_MiB;
-    memctrl::StartGapParams p;
-    p.lineBytes = 256;
-    p.linesPerDomain = 256; // 64 KB domains: fast rotation in-test
-    p.gapWritePeriod = 4;
-    memctrl::StartGapRemapper remap(mem, p);
-
-    pcm::WearTracker leveled(mem, 4_KiB, 64);
-    pcm::WearTracker raw(mem, 4_KiB, 64);
-
-    Random rng(3);
-    for (int i = 0; i < 200000; ++i) {
-        // All writes to one 4 KB logical region.
-        const Addr logical = rng.uniform(64) * 64;
-        raw.recordBlockWrite(logical, pcm::WearCause::DemandWrite);
-        leveled.recordBlockWrite(remap.remap(logical),
-                                 pcm::WearCause::DemandWrite);
-        remap.onWrite(logical);
-    }
-
-    EXPECT_EQ(raw.touchedRegions(), 1u);
-    EXPECT_GT(leveled.touchedRegions(), 5u);
-    // Max per-region wear drops by roughly the spreading factor.
-    EXPECT_LT(leveled.maxRegionWear(), raw.maxRegionWear() / 2);
-}
-
-/**
- * Start-Gap must not disturb which rotation domain an address maps
- * to, so the wear it spreads stays within the hot domain.
- */
-TEST(StartGapProperty, WearStaysWithinTheDomain)
-{
-    const std::uint64_t mem = 4_MiB;
-    memctrl::StartGapParams p;
-    p.lineBytes = 256;
-    p.linesPerDomain = 1024; // 256 KB domains
-    p.gapWritePeriod = 4;
-    memctrl::StartGapRemapper remap(mem, p);
-    const std::uint64_t domain_bytes = 256_KiB;
-
-    Random rng(4);
-    for (int i = 0; i < 50000; ++i) {
-        const Addr logical = rng.uniform(domain_bytes);
-        const Addr physical = remap.remap(logical);
-        ASSERT_LT(physical, domain_bytes);
-        remap.onWrite(logical);
     }
 }
 

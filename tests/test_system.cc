@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/check.hh"
 #include "common/math_util.hh"
 #include "system/system.hh"
@@ -261,6 +263,31 @@ TEST(SystemIntegration, ConfigValidationRejectsNonsense)
     cfg = quickConfig("lbm", Scheme::rrmScheme());
     cfg.warmupFraction = 1.0;
     EXPECT_THROW(System{std::move(cfg)}, FatalError);
+
+    // Windows and time scales whose tick conversion overflows or
+    // rounds to zero: each yields exactly one validation error.
+    const auto expectOneError = [](SystemConfig c, const char *what) {
+        const std::vector<std::string> errors = c.validate();
+        ASSERT_EQ(errors.size(), 1u) << what;
+        EXPECT_NE(errors[0].find(what), std::string::npos) << errors[0];
+        EXPECT_THROW(System{std::move(c)}, FatalError) << what;
+    };
+    cfg = quickConfig("lbm", Scheme::rrmScheme());
+    cfg.windowSeconds = 1e8; // 1e20 ticks overflow Tick
+    expectOneError(cfg, "window of 1e+08 s");
+    cfg = quickConfig("lbm", Scheme::rrmScheme());
+    cfg.windowSeconds = 1e-15; // rounds to 0 ticks
+    expectOneError(cfg, "window of 1e-15 s");
+    cfg = quickConfig("lbm", Scheme::rrmScheme());
+    cfg.windowSeconds = 2e-12; // 2 ticks, both eaten by the warmup
+    cfg.warmupFraction = 0.9;
+    expectOneError(cfg, "leaves no measured tick");
+    cfg = quickConfig("lbm", Scheme::rrmScheme());
+    cfg.timeScale = 1e13; // 0.125 s / 1e13 rounds to 0 ticks
+    expectOneError(cfg, "time scale 1e+13");
+    cfg = quickConfig("lbm", Scheme::staticScheme(pcm::WriteMode::Sets7));
+    cfg.timeScale = std::numeric_limits<double>::infinity();
+    expectOneError(cfg, "time scale inf");
 }
 
 TEST(SystemIntegration, ConfigValidationAggregatesEveryProblem)

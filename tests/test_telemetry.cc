@@ -73,17 +73,14 @@ TEST(Telemetry, ExportsContainEveryStat)
     obs::Telemetry t;
     t.recordRefreshPressure(0.25);
 
-    std::ostringstream json, csv;
+    std::ostringstream json;
     t.writeJson(json);
-    t.writeCsv(csv);
     for (const char *name :
          {"eventsByPriority", "scheduleLatency", "queueDepth",
           "refreshPressure"}) {
         EXPECT_NE(json.str().find(name), std::string::npos) << name;
-        EXPECT_NE(csv.str().find(name), std::string::npos) << name;
     }
     EXPECT_EQ(json.str().front(), '{');
-    EXPECT_EQ(csv.str().substr(0, 5), "stat,");
 }
 
 sys::SystemConfig
@@ -186,7 +183,6 @@ TEST(TelemetryGolden, RecordsAreByteIdenticalWithTelemetryOn)
     cfg.obs.sampleCsvFile = stem + ".csv";
     cfg.obs.telemetry = true;
     cfg.obs.telemetryJsonFile = stem + ".telemetry.json";
-    cfg.obs.telemetryCsvFile = stem + ".telemetry.csv";
     {
         sys::System system(std::move(cfg));
         system.run();
@@ -202,10 +198,8 @@ TEST(TelemetryGolden, RecordsAreByteIdenticalWithTelemetryOn)
                "telemetry stats tree must stay off the System's stat "
                "root";
     }
-    // And the telemetry files themselves were written.
+    // And the telemetry file itself was written.
     EXPECT_NE(readFile(stem + ".telemetry.json").find("queueDepth"),
-              std::string::npos);
-    EXPECT_NE(readFile(stem + ".telemetry.csv").find("queueDepth"),
               std::string::npos);
 }
 

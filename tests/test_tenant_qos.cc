@@ -208,9 +208,9 @@ TEST(TenantQosPolicy, NoisyDetectionIsPerTenantAndPerEpoch)
 
 TEST(TenantQosPolicy, DefaultNoisyHandlingKeepsWritesFlowing)
 {
-    // demoteNoisy is off by default: a noisy tenant keeps its write
-    // modes and its registrations (slow writes would hold the shared
-    // banks longer, hurting exactly the tenants QoS protects).
+    // A noisy tenant keeps its write modes and its registrations
+    // (slow writes would hold the shared banks longer, hurting
+    // exactly the tenants QoS protects).
     EventQueue queue;
     policy::TenantQosConfig qcfg;
     qcfg.budgetFactor = 8.0;
@@ -227,39 +227,9 @@ TEST(TenantQosPolicy, DefaultNoisyHandlingKeepsWritesFlowing)
     p->rolloverNow();
     ASSERT_TRUE(p->tenantNoisy(0));
     EXPECT_EQ(p->writeModeFor(hot), cfg.fastMode);
+    const std::uint64_t boosted = p->tenantBoosted(0);
     p->registerLlcWrite(hot, /*was_dirty=*/true);
-    EXPECT_EQ(p->tenantThrottled(0), 0u);
-}
-
-TEST(TenantQosPolicy, DemoteNoisyShedsWritesAndRegistrations)
-{
-    EventQueue queue;
-    policy::TenantQosConfig qcfg;
-    qcfg.budgetFactor = 8.0;
-    qcfg.demoteNoisy = true;
-    auto p = makeQosPolicy(queue, qcfg, twoTenantLayout());
-    const monitor::RrmConfig cfg = smallRrmConfig();
-
-    const Addr hot = 0x1000;       // tenant 0
-    const Addr other = 0x100000;   // tenant 1
-    for (int i = 0; i < 6; ++i)
-        p->registerLlcWrite(hot, /*was_dirty=*/false);
-    ASSERT_EQ(p->writeModeFor(hot), cfg.fastMode);
-
-    for (std::uint64_t i = 0; i < 3 * p->tenantQuota(0); ++i)
-        p->registerLlcWrite(0x0, /*was_dirty=*/true);
-    p->rolloverNow();
-    ASSERT_TRUE(p->tenantNoisy(0));
-
-    // The noisy tenant demotes to the slow mode — even its hot
-    // blocks — and its registrations are dropped; the neighbour is
-    // untouched.
-    EXPECT_EQ(p->writeModeFor(hot), cfg.slowMode);
-    p->registerLlcWrite(hot, /*was_dirty=*/true);
-    EXPECT_EQ(p->tenantThrottled(0), 1u);
-    EXPECT_EQ(p->writeModeFor(other), cfg.slowMode);
-    p->registerLlcWrite(other, /*was_dirty=*/true);
-    EXPECT_EQ(p->tenantThrottled(1), 0u);
+    EXPECT_EQ(p->tenantBoosted(0), boosted + 1);
 }
 
 // ---- Fairness metrics ----

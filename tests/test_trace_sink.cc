@@ -1,7 +1,7 @@
 /**
  * @file
  * TraceSink / TraceWriter / RRM_TRACE behaviour: ring buffering with
- * drop accounting, category filtering, writer formats, attach-time
+ * drop accounting, category names, the JSONL format, attach-time
  * flushing, and the macro's evaluation guarantees.
  */
 
@@ -11,7 +11,6 @@
 #include <sstream>
 #include <vector>
 
-#include "common/logging.hh"
 #include "obs/trace.hh"
 
 using namespace rrm;
@@ -61,16 +60,8 @@ TEST(TraceCategories, NamesAndParsingRoundTrip)
     EXPECT_STREQ(traceCategoryName(TraceCategory::RrmLifecycle), "rrm");
     EXPECT_STREQ(traceCategoryName(TraceCategory::Refresh), "refresh");
     EXPECT_STREQ(traceCategoryName(TraceCategory::Queue), "queue");
-    EXPECT_STREQ(traceCategoryName(TraceCategory::StartGap), "startgap");
     EXPECT_STREQ(traceCategoryName(TraceCategory::Sampler), "sampler");
-
-    EXPECT_EQ(parseTraceCategories("all"), traceAllCategories);
-    EXPECT_EQ(parseTraceCategories("rrm"),
-              traceBit(TraceCategory::RrmLifecycle));
-    EXPECT_EQ(parseTraceCategories("rrm,queue"),
-              traceBit(TraceCategory::RrmLifecycle) |
-                  traceBit(TraceCategory::Queue));
-    EXPECT_THROW(parseTraceCategories("bogus"), FatalError);
+    EXPECT_STREQ(traceCategoryName(TraceCategory::Fault), "fault");
 }
 
 TEST(TraceSink, RingKeepsMostRecentAndCountsDrops)
@@ -107,33 +98,16 @@ TEST(TraceSink, AttachingAWriterFlushesTheRingThenStreams)
     EXPECT_EQ(sink.dropped(), 0u);
 }
 
-TEST(TraceSink, CategoryMaskGatesEnabled)
-{
-    TraceSink sink(8, traceBit(TraceCategory::Refresh));
-    EXPECT_TRUE(sink.enabled(TraceCategory::Refresh));
-    EXPECT_FALSE(sink.enabled(TraceCategory::Queue));
-    EXPECT_FALSE(sink.enabled(TraceCategory::RrmLifecycle));
-
-    sink.setCategoryMask(traceAllCategories);
-    EXPECT_TRUE(sink.enabled(TraceCategory::Queue));
-}
-
 TEST(TraceMacro, SkipsDisabledCategoriesAndNullSinks)
 {
-    TraceSink sink(8, traceBit(TraceCategory::Refresh));
+    TraceSink sink(8);
     int evaluations = 0;
     const auto costly = [&] {
         ++evaluations;
         return 1.0;
     };
 
-    // Masked-off category: fields must not be evaluated.
-    RRM_TRACE(&sink, 0, TraceCategory::Queue, "q",
-              RRM_TF("v", costly()));
-    EXPECT_EQ(evaluations, 0);
-    EXPECT_EQ(sink.recorded(), 0u);
-
-    // Enabled category records and evaluates once.
+    // A live sink records and evaluates the fields once.
     RRM_TRACE(&sink, 5, TraceCategory::Refresh, "r",
               RRM_TF("v", costly()));
     EXPECT_EQ(evaluations, 1);
@@ -145,16 +119,6 @@ TEST(TraceMacro, SkipsDisabledCategoriesAndNullSinks)
     RRM_TRACE(null_sink, 0, TraceCategory::Refresh, "r",
               RRM_TF("v", costly()));
     EXPECT_EQ(evaluations, 1);
-}
-
-TEST(TraceWriters, TextFormat)
-{
-    std::ostringstream os;
-    TextTraceWriter writer(os);
-    writer.write(makeTraceEvent(42, TraceCategory::Refresh, "refresh",
-                                RRM_TF("block", 4096),
-                                RRM_TF("sets", 3)));
-    EXPECT_EQ(os.str(), "42 [refresh] refresh block=4096 sets=3\n");
 }
 
 TEST(TraceWriters, JsonlFormat)
