@@ -21,8 +21,11 @@
 
 using namespace rrm;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
     if (opts.workloads.empty())
@@ -131,4 +134,12 @@ main(int argc, char **argv)
                 "for RRM); rate-corrected ~= count-only on IPC, and "
                 "all three agree on wear/lifetime.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runMain(argc, argv, benchMain);
 }

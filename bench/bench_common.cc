@@ -166,11 +166,6 @@ benchFlagTable()
          [](BenchOptions &o, const std::string &) {
              o.profile = true;
          }},
-        {"--progress", nullptr,
-         "throughput/ETA heartbeat lines on stderr",
-         [](BenchOptions &o, const std::string &) {
-             o.progress = true;
-         }},
         {"--json-out", "F", "bench-report path (benches that emit one)",
          [](BenchOptions &o, const std::string &v) { o.jsonOut = v; }},
         numberFlag<double>("--timeout",
@@ -178,11 +173,6 @@ benchFlagTable()
                            [](BenchOptions &o, double v) {
                                o.timeoutSeconds = v;
                            }),
-        numberFlag<unsigned>("--retries",
-                             "re-attempts after a failed/timed-out run",
-                             [](BenchOptions &o, unsigned v) {
-                                 o.retries = v;
-                             }),
         numberFlag<std::uint64_t>(
             "--checkpoint-every",
             "publish a checkpoint every N decay epochs (0 = off)",
@@ -203,11 +193,6 @@ benchFlagTable()
          "track retention deadlines of short-retention writes",
          [](BenchOptions &o, const std::string &) {
              o.fault.retentionTracking = true;
-         }},
-        {"--fault-strict", nullptr,
-         "treat a retention violation as a check failure",
-         [](BenchOptions &o, const std::string &) {
-             o.fault.strict = true;
          }},
         numberFlag<double>("--fault-rate",
                            "transient write-failure probability",
@@ -324,27 +309,6 @@ BenchOptions::selectedSchemes(
     return out;
 }
 
-run::RunnerOptions
-BenchOptions::runnerOptions() const
-{
-    run::RunnerOptions ro;
-    ro.jobs = jobs;
-    ro.failFast = failFast;
-    ro.verbose = verbose;
-    ro.timeoutSeconds = timeoutSeconds;
-    ro.retries = retries;
-    if (progress) {
-        ro.onProgress = [](const run::RunProgress &p) {
-            std::fprintf(stderr,
-                         "progress: %zu/%zu runs done, last %.2f Mev/s"
-                         " (%.2f s), eta %.1f s\n",
-                         p.finished, p.total, p.eventsPerSecond / 1e6,
-                         p.runSeconds, p.etaSeconds);
-        };
-    }
-    return ro;
-}
-
 PlanBuilder &
 PlanBuilder::run(const trace::Workload &workload,
                  const sys::Scheme &scheme)
@@ -448,6 +412,7 @@ makeConfig(const trace::Workload &workload, const sys::Scheme &scheme,
     cfg.seed = opts.seed;
     cfg.fault = opts.fault;
     cfg.tracePackDir = opts.tracePackDir;
+    cfg.wallTimeoutSeconds = opts.timeoutSeconds;
 
     const std::string run_tag =
         tag.empty() ? workload.name + "." + scheme.name() : tag;
@@ -488,15 +453,6 @@ makeConfig(const trace::Workload &workload, const sys::Scheme &scheme,
     return cfg;
 }
 
-run::RunPlan
-buildMatrixPlan(const std::vector<trace::Workload> &workloads,
-                const std::vector<sys::Scheme> &schemes,
-                const BenchOptions &opts, const ConfigHook &hook)
-{
-    PlanBuilder builder(opts);
-    return builder.matrix(workloads, schemes, hook).build();
-}
-
 run::RunReport
 runPlan(const run::RunPlan &plan, const BenchOptions &opts)
 {
@@ -504,8 +460,11 @@ runPlan(const run::RunPlan &plan, const BenchOptions &opts)
     // write their final checkpoints (when configured), the report is
     // completed, and the plan fails with a full summary below.
     installInterruptHandlers();
-    const run::Runner runner(opts.runnerOptions());
-    const run::RunReport report = runner.execute(plan);
+    run::RunnerOptions runner;
+    runner.jobs = opts.jobs;
+    runner.failFast = opts.failFast;
+    runner.verbose = opts.verbose;
+    const run::RunReport report = run::Runner(runner).execute(plan);
 
     const std::size_t slowest = report.slowestRunIndex();
     std::fprintf(stderr,
@@ -533,8 +492,9 @@ runMatrix(const std::vector<trace::Workload> &workloads,
           const std::vector<sys::Scheme> &schemes,
           const BenchOptions &opts, const ConfigHook &hook)
 {
+    PlanBuilder builder(opts);
     const run::RunReport report =
-        runPlan(buildMatrixPlan(workloads, schemes, opts, hook), opts);
+        builder.matrix(workloads, schemes, hook).execute();
     const std::vector<sys::SimResults> flat = report.okResults();
 
     std::vector<std::vector<sys::SimResults>> results;
@@ -574,11 +534,9 @@ printRule(int width)
 }
 
 void
-writeBenchReport(const std::string &path,
-                 const std::string &bench_name, const BenchOptions &opts,
-                 const std::vector<trace::Workload> &workloads,
-                 const std::vector<sys::Scheme> &schemes,
-                 const std::vector<std::vector<sys::SimResults>> &results)
+writeBenchReportFile(const std::string &path,
+                     const std::string &bench_name,
+                     const BenchOptions &opts, const ReportBody &body)
 {
     AtomicFile file(path);
     std::ostream &os = file.stream();
@@ -598,27 +556,55 @@ writeBenchReport(const std::string &path,
     json.field("seed", opts.seed);
     json.endObject();
 
-    json.key("workloads");
-    json.beginArray();
-    for (const auto &w : workloads)
-        json.value(w.name);
-    json.endArray();
-    json.key("schemes");
-    json.beginArray();
-    for (const auto &s : schemes)
-        json.value(s.name());
-    json.endArray();
-
-    json.key("runs");
-    json.beginArray();
-    for (const auto &row : results)
-        for (const auto &r : row)
-            r.toJson(json);
-    json.endArray();
+    body(json);
 
     json.endObject();
     os << '\n';
     file.commit();
+}
+
+void
+writeBenchReport(const std::string &path,
+                 const std::string &bench_name, const BenchOptions &opts,
+                 const std::vector<trace::Workload> &workloads,
+                 const std::vector<sys::Scheme> &schemes,
+                 const std::vector<std::vector<sys::SimResults>> &results,
+                 const ReportBody &extra)
+{
+    writeBenchReportFile(path, bench_name, opts, [&](obs::JsonWriter &json) {
+        json.key("workloads");
+        json.beginArray();
+        for (const auto &w : workloads)
+            json.value(w.name);
+        json.endArray();
+        json.key("schemes");
+        json.beginArray();
+        for (const auto &s : schemes)
+            json.value(s.name());
+        json.endArray();
+
+        json.key("runs");
+        json.beginArray();
+        for (const auto &row : results)
+            for (const auto &r : row)
+                r.toJson(json);
+        json.endArray();
+
+        if (extra)
+            extra(json);
+    });
+}
+
+int
+runMain(int argc, char **argv, int (*body)(int, char **))
+{
+    try {
+        return body(argc, argv);
+    } catch (const FatalError &e) {
+        std::fflush(stdout);
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
 }
 
 } // namespace rrm::bench

@@ -16,8 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "run/run_plan.hh"
-#include "run/run_report.hh"
+#include "obs/json.hh"
 #include "run/runner.hh"
 #include "system/system.hh"
 
@@ -78,17 +77,14 @@ struct BenchOptions
     /** Wall-clock self-profiling into the run records (--profile). */
     bool profile = false;
 
-    /** Throughput/ETA heartbeat lines on stderr (--progress). */
-    bool progress = false;
-
     /** Bench-report path override (--json-out); bench default if empty. */
     std::string jsonOut;
 
-    /** Per-run wall-clock budget in seconds (--timeout); 0 = none. */
+    /**
+     * Per-run wall-clock budget in seconds (--timeout), copied into
+     * SystemConfig::wallTimeoutSeconds; 0 = none.
+     */
     double timeoutSeconds = 0.0;
-
-    /** Re-attempts after a failed/timed-out run (--retries). */
-    unsigned retries = 0;
 
     /**
      * @{ Crash-safe checkpointing (--checkpoint-every /
@@ -133,9 +129,6 @@ struct BenchOptions
      */
     std::vector<sys::Scheme>
     selectedSchemes(const std::vector<sys::Scheme> &defaults) const;
-
-    /** Runner policy from these options (jobs, fail-fast, verbose). */
-    run::RunnerOptions runnerOptions() const;
 };
 
 /** Hook to adjust the SystemConfig before a run (sweep knobs). */
@@ -217,18 +210,10 @@ sys::SystemConfig makeConfig(const trace::Workload &workload,
                              const std::string &tag = "");
 
 /**
- * Plan every selected workload under every scheme, workload-major,
- * with run ids "<workload>.<scheme>".
- */
-run::RunPlan buildMatrixPlan(
-    const std::vector<trace::Workload> &workloads,
-    const std::vector<sys::Scheme> &schemes, const BenchOptions &opts,
-    const ConfigHook &hook = {});
-
-/**
- * Execute a plan with the options' runner policy and print the
- * plan-level summary (runs, jobs, wall seconds, slowest run) to
- * stderr. fatal() with every failed run id if any run did not finish.
+ * Execute a plan with the options' runner policy (--jobs,
+ * --fail-fast, --verbose) and print the plan-level summary (runs,
+ * jobs, wall seconds, slowest run) to stderr. fatal() with every
+ * failed run id if any run did not finish.
  */
 run::RunReport runPlan(const run::RunPlan &plan,
                        const BenchOptions &opts);
@@ -255,20 +240,42 @@ void printRule(int width = 98);
 /** Schema version of the machine-readable bench reports. */
 constexpr int benchReportSchemaVersion = 1;
 
+/** Writes the bench-specific fields of a report's top-level object. */
+using ReportBody = std::function<void(obs::JsonWriter &)>;
+
 /**
- * Write a machine-readable report of a bench's run matrix: schema
- * version, bench name, build metadata, the options of the run, and
- * one full SimResults record per (workload, scheme) pair. Execution
- * details (jobs, wall time) are deliberately excluded so reports are
- * byte-identical across --jobs values. fatal() if the file cannot be
- * opened.
+ * Atomically write one machine-readable bench report to `path`: the
+ * head every report shares (schema version, bench name, build
+ * metadata, and the windowSeconds/timeScale/warmupFraction/seed
+ * options) followed by whatever `body` adds to the same top-level
+ * object. Execution details (jobs, wall time) are deliberately
+ * excluded so reports are byte-identical across --jobs values.
+ * fatal() if the file cannot be opened.
+ */
+void writeBenchReportFile(const std::string &path,
+                          const std::string &bench_name,
+                          const BenchOptions &opts,
+                          const ReportBody &body);
+
+/**
+ * Write the report of a bench's run matrix: the shared head, the
+ * workload and scheme names, one full SimResults record per
+ * (workload, scheme) pair, then whatever `extra` adds.
  */
 void writeBenchReport(
     const std::string &path, const std::string &bench_name,
     const BenchOptions &opts,
     const std::vector<trace::Workload> &workloads,
     const std::vector<sys::Scheme> &schemes,
-    const std::vector<std::vector<sys::SimResults>> &results);
+    const std::vector<std::vector<sys::SimResults>> &results,
+    const ReportBody &extra = {});
+
+/**
+ * The bench binaries' main(): return `body`'s exit status, or print
+ * a FatalError (bad flag, invalid plan, failed run) as one
+ * "fatal: ..." line on stderr and return 1.
+ */
+int runMain(int argc, char **argv, int (*body)(int, char **));
 
 } // namespace rrm::bench
 

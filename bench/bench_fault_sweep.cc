@@ -17,9 +17,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "common/atomic_file.hh"
-#include "common/logging.hh"
-#include "obs/run_record.hh"
 
 using namespace rrm;
 
@@ -39,10 +36,8 @@ runId(const trace::Workload &w, const sys::Scheme &s,
     return w.name + "." + s.name() + ".fr" + p.tag;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
     const auto workloads = opts.selectedWorkloads();
@@ -109,50 +104,43 @@ main(int argc, char **argv)
 
     const std::string path =
         opts.jsonOut.empty() ? "BENCH_fault.json" : opts.jsonOut;
-    AtomicFile file(path);
-    std::ostream &os = file.stream();
-    obs::JsonWriter json(os, /*pretty=*/true);
-    json.beginObject();
-    json.field("schemaVersion", bench::benchReportSchemaVersion);
-    json.field("bench", "fault_sweep");
-    json.key("metadata");
-    obs::writeRunMetadata(json, obs::currentRunMetadata());
-    json.key("options");
-    json.beginObject();
-    json.field("windowSeconds", opts.windowSeconds);
-    json.field("timeScale", opts.timeScale);
-    json.field("warmupFraction", opts.warmupFraction);
-    json.field("seed", opts.seed);
-    json.endObject();
-    json.key("faultRates");
-    json.beginArray();
-    for (const auto &point : rates)
-        json.value(point.rate);
-    json.endArray();
-    json.key("schemes");
-    json.beginArray();
-    for (const auto &s : schemes)
-        json.value(s.name());
-    json.endArray();
-    json.key("runs");
-    json.beginArray();
-    for (const auto &workload : workloads) {
-        for (const auto &scheme : schemes) {
-            for (const auto &point : rates) {
-                const std::string id = runId(workload, scheme, point);
-                json.beginObject();
-                json.field("id", id);
-                json.field("faultRate", point.rate);
-                json.key("results");
-                report.find(id)->results.toJson(json);
-                json.endObject();
+    const bench::ReportBody body = [&](obs::JsonWriter &json) {
+        json.key("faultRates");
+        json.beginArray();
+        for (const auto &point : rates)
+            json.value(point.rate);
+        json.endArray();
+        json.key("schemes");
+        json.beginArray();
+        for (const auto &s : schemes)
+            json.value(s.name());
+        json.endArray();
+        json.key("runs");
+        json.beginArray();
+        for (const auto &workload : workloads) {
+            for (const auto &scheme : schemes) {
+                for (const auto &point : rates) {
+                    const std::string id = runId(workload, scheme, point);
+                    json.beginObject();
+                    json.field("id", id);
+                    json.field("faultRate", point.rate);
+                    json.key("results");
+                    report.find(id)->results.toJson(json);
+                    json.endObject();
+                }
             }
         }
-    }
-    json.endArray();
-    json.endObject();
-    os << '\n';
-    file.commit();
+        json.endArray();
+    };
+    bench::writeBenchReportFile(path, "fault_sweep", opts, body);
     std::fprintf(stderr, "bench report written to %s\n", path.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runMain(argc, argv, benchMain);
 }

@@ -16,8 +16,11 @@
 
 using namespace rrm;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts =
         bench::BenchOptions::parse(argc, argv);
@@ -93,4 +96,12 @@ main(int argc, char **argv)
         "higher thresholds trade performance for lifetime "
         "monotonically.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runMain(argc, argv, benchMain);
 }

@@ -17,8 +17,11 @@
 
 using namespace rrm;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts =
         bench::BenchOptions::parse(argc, argv);
@@ -86,4 +89,12 @@ main(int argc, char **argv)
     std::printf(
         "paper shape: 2x notably worse than 4x; 4x ~= 8x ~= 16x.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runMain(argc, argv, benchMain);
 }

@@ -17,8 +17,11 @@
 
 using namespace rrm;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts =
         bench::BenchOptions::parse(argc, argv);
@@ -78,4 +81,12 @@ main(int argc, char **argv)
         "paper shape: 2 KB worse than the rest; 4/8/16 KB similar "
         "(4 KB chosen to match the OS page size).\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runMain(argc, argv, benchMain);
 }

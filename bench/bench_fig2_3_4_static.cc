@@ -21,8 +21,11 @@
 
 using namespace rrm;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts =
         bench::BenchOptions::parse(argc, argv);
@@ -98,4 +101,12 @@ main(int argc, char **argv)
         "overwhelming for Static-3 (whole-array refresh every 2.01 s);\n"
         "Static-7/-6 wear is essentially all demand writes.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runMain(argc, argv, benchMain);
 }

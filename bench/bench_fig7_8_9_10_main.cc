@@ -23,8 +23,11 @@
 
 using namespace rrm;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts =
         bench::BenchOptions::parse(argc, argv);
@@ -168,4 +171,12 @@ main(int argc, char **argv)
                         r.rrmHotEntriesAtEnd));
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runMain(argc, argv, benchMain);
 }

@@ -22,8 +22,11 @@
 
 using namespace rrm;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts =
         bench::BenchOptions::parse(argc, argv);
@@ -87,4 +90,12 @@ main(int argc, char **argv)
                 "equal-or-better IPC) on %zu of %zu workloads.\n",
                 adaptive_wins, workloads.size());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runMain(argc, argv, benchMain);
 }

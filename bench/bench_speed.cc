@@ -23,8 +23,11 @@
 
 using namespace rrm;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts =
         bench::BenchOptions::parse(argc, argv);
@@ -41,10 +44,10 @@ main(int argc, char **argv)
     bench::printTitle("Simulator throughput (host-side)");
     std::printf("%-28s %14s %10s %12s\n", "run", "events", "wall s",
                 "Mev/s");
-    for (const auto &run : report.runs) {
-        std::printf("%-28s %14llu %10.3f %12.3f\n", run.id.c_str(),
-                    static_cast<unsigned long long>(run.eventsExecuted),
-                    run.wallSeconds, run.eventsPerSecond / 1e6);
+    for (const run::RunResult &r : report.runs) {
+        std::printf("%-28s %14llu %10.3f %12.3f\n", r.id.c_str(),
+                    static_cast<unsigned long long>(run::eventsExecuted(r)),
+                    r.wallSeconds, run::eventsPerSecond(r) / 1e6);
     }
     bench::printRule();
 
@@ -55,4 +58,12 @@ main(int argc, char **argv)
     file.commit();
     std::fprintf(stderr, "speed report: %s\n", out.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runMain(argc, argv, benchMain);
 }

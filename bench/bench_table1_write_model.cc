@@ -14,8 +14,11 @@
 
 using namespace rrm;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     (void)bench::BenchOptions::parse(argc, argv);
 
@@ -50,4 +53,12 @@ main(int argc, char **argv)
         "paper: 7-SETs 3054.9 s @ 1150 ns ... 3-SETs 2.01 s @ 550 ns.\n",
         drift.params().alpha);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runMain(argc, argv, benchMain);
 }

@@ -32,10 +32,8 @@ struct ProfileCapture
     double hot97 = 0.0;
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
     if (opts.workloads.empty())
@@ -128,4 +126,12 @@ main(int argc, char **argv)
             100.0 * cap.hot97, r.aggregateIpc, r.mpki);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runMain(argc, argv, benchMain);
 }

@@ -7,9 +7,7 @@
 
 #include <cstdio>
 
-#include "common/atomic_file.hh"
 #include "common/logging.hh"
-#include "obs/run_record.hh"
 #include "trace/benchmark.hh"
 
 namespace rrm::bench
@@ -86,79 +84,43 @@ writeTenantBenchReport(
     const std::vector<sys::SimResults> &solo_results,
     const std::vector<TenantSweepRow> &fairness)
 {
-    AtomicFile file(path);
-    std::ostream &os = file.stream();
-
-    obs::JsonWriter json(os, /*pretty=*/true);
-    json.beginObject();
-    json.field("schemaVersion", benchReportSchemaVersion);
-    json.field("bench", bench_name);
-    json.key("metadata");
-    obs::writeRunMetadata(json, obs::currentRunMetadata());
-
-    json.key("options");
-    json.beginObject();
-    json.field("windowSeconds", opts.windowSeconds);
-    json.field("timeScale", opts.timeScale);
-    json.field("warmupFraction", opts.warmupFraction);
-    json.field("seed", opts.seed);
-    json.endObject();
-
-    json.key("workloads");
-    json.beginArray();
-    for (const auto &w : workloads)
-        json.value(w.name);
-    json.endArray();
-    json.key("schemes");
-    json.beginArray();
-    for (const auto &s : schemes)
-        json.value(s.name());
-    json.endArray();
-
-    json.key("runs");
-    json.beginArray();
-    for (const auto &row : results)
-        for (const auto &r : row)
-            r.toJson(json);
-    json.endArray();
-
-    json.key("soloRuns");
-    json.beginArray();
-    for (const auto &r : solo_results)
-        r.toJson(json);
-    json.endArray();
-
-    json.key("fairness");
-    json.beginArray();
-    for (const TenantSweepRow &row : fairness) {
-        json.beginObject();
-        json.field("workload", row.workload);
-        json.field("scheme", row.scheme);
-        json.field("weightedSpeedup", row.fairness.weightedSpeedup);
-        json.field("unfairness", row.fairness.unfairness);
-        json.key("tenants");
+    const ReportBody extras = [&](obs::JsonWriter &json) {
+        json.key("soloRuns");
         json.beginArray();
-        for (const auto &t : row.fairness.tenants) {
+        for (const auto &r : solo_results)
+            r.toJson(json);
+        json.endArray();
+
+        json.key("fairness");
+        json.beginArray();
+        for (const TenantSweepRow &row : fairness) {
             json.beginObject();
-            json.field("tenant", t.tenant);
-            json.key("cores");
+            json.field("workload", row.workload);
+            json.field("scheme", row.scheme);
+            json.field("weightedSpeedup", row.fairness.weightedSpeedup);
+            json.field("unfairness", row.fairness.unfairness);
+            json.key("tenants");
             json.beginArray();
-            for (const unsigned c : t.cores)
-                json.value(c);
+            for (const auto &t : row.fairness.tenants) {
+                json.beginObject();
+                json.field("tenant", t.tenant);
+                json.key("cores");
+                json.beginArray();
+                for (const unsigned c : t.cores)
+                    json.value(c);
+                json.endArray();
+                json.field("ipc", t.ipc);
+                json.field("slowdown", t.slowdown);
+                json.field("weightedSpeedup", t.weightedSpeedup);
+                json.endObject();
+            }
             json.endArray();
-            json.field("ipc", t.ipc);
-            json.field("slowdown", t.slowdown);
-            json.field("weightedSpeedup", t.weightedSpeedup);
             json.endObject();
         }
         json.endArray();
-        json.endObject();
-    }
-    json.endArray();
-
-    json.endObject();
-    os << '\n';
-    file.commit();
+    };
+    writeBenchReport(path, bench_name, opts, workloads, schemes, results,
+                     extras);
 }
 
 } // namespace rrm::bench

@@ -76,10 +76,8 @@ soloWorkload(trace::Benchmark b)
     return w;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts =
         bench::BenchOptions::parse(argc, argv);
@@ -152,4 +150,12 @@ main(int argc, char **argv)
 
     bench::printFairnessTable(rows);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runMain(argc, argv, benchMain);
 }

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/logging.hh"
 #include "system/system.hh"
 
 using namespace rrm;
@@ -53,10 +54,8 @@ kvStoreProfile()
         "kvstore", 60.0, 0.0, {log, index, heap}};
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+exampleMain(int argc, char **argv)
 {
     const double window =
         (argc > 1 ? std::atof(argv[1]) : 60.0) / 1e3;
@@ -101,4 +100,17 @@ main(int argc, char **argv)
         "slow/long-retention mode and the array keeps most of the "
         "Static-7 lifetime.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return exampleMain(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
 }

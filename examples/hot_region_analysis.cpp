@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "system/system.hh"
 
 using namespace rrm;
@@ -91,10 +92,8 @@ analyze(const trace::Workload &workload, double window_seconds)
                 100.0 * prof->hotRegionFraction(0.90));
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+exampleMain(int argc, char **argv)
 {
     const std::string which = argc > 1 ? argv[1] : "GemsFDTD";
     const double window_ms = argc > 2 ? std::atof(argv[2]) : 10.0;
@@ -108,4 +107,17 @@ main(int argc, char **argv)
     for (const auto &w : workloads)
         analyze(w, window_ms / 1000.0);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return exampleMain(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
 }

@@ -26,6 +26,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/logging.hh"
 #include "system/system.hh"
 
 using namespace rrm;
@@ -44,10 +45,8 @@ countLines(const std::string &path)
     return n;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+exampleMain(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "GemsFDTD";
     const double window_ms = argc > 2 ? std::atof(argv[2]) : 10.0;
@@ -112,4 +111,17 @@ main(int argc, char **argv)
         prof->report(std::cout);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return exampleMain(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
 }

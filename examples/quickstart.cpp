@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/logging.hh"
 #include "system/system.hh"
 
 using namespace rrm;
@@ -34,10 +35,8 @@ runScheme(const trace::Workload &workload, const sys::Scheme &scheme,
     return system.run();
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+exampleMain(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "GemsFDTD";
     const double window_ms = argc > 2 ? std::atof(argv[2]) : 10.0;
@@ -80,4 +79,17 @@ main(int argc, char **argv)
         }
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return exampleMain(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
 }

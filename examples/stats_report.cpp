@@ -16,6 +16,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/logging.hh"
 #include "system/system.hh"
 
 using namespace rrm;
@@ -38,10 +39,8 @@ schemeFromName(std::string name)
     return sys::parseScheme(name);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+exampleMain(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "GemsFDTD";
     const std::string scheme = argc > 2 ? argv[2] : "rrm";
@@ -69,4 +68,17 @@ main(int argc, char **argv)
     std::printf("---------- full statistics ----------\n");
     system.statRoot().dump(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return exampleMain(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
 }

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/logging.hh"
 #include "system/system.hh"
 
 using namespace rrm;
@@ -31,10 +32,8 @@ run(const trace::Workload &workload, const sys::Scheme &scheme,
     return system.run();
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+exampleMain(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "GemsFDTD";
     const double window =
@@ -71,4 +70,17 @@ main(int argc, char **argv)
                 "performance; higher thresholds toward Static-7 "
                 "lifetime (paper Fig. 11).\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return exampleMain(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
 }

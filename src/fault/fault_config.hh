@@ -49,9 +49,6 @@ struct FaultConfig
      */
     double retentionSlackSeconds = 0.0;
 
-    /** RRM_CHECK on any retention violation or unrecovered write. */
-    bool strict = false;
-
     // ----- transient write failures -----------------------------------
 
     /** Probability that a completed write is injected as failed. */

@@ -56,11 +56,6 @@ FaultManager::FaultManager(const FaultConfig &config,
                       "retentionViolation", RRM_TF("block", block),
                       RRM_TF("deadline", deadline),
                       RRM_TF("lateTicks", now - deadline));
-            if (config_.strict) {
-                RRM_CHECK(false, "retention violation on block ",
-                          block, ": deadline ", deadline,
-                          " missed at ", now);
-            }
         });
 }
 
@@ -148,9 +143,6 @@ FaultManager::onWriteCompleted(Addr phys, pcm::WriteMode mode,
                       config_.maxWriteRetries,
                       " consecutive rewrites; data declared lost "
                       "(block ", phys, ")");
-            if (config_.strict) {
-                RRM_CHECK(false, "unrecovered write on block ", phys);
-            }
         } else if (rewrite_) {
             const Tick backoff = std::min<Tick>(
                 config_.maxRetryBackoff,

@@ -5,7 +5,7 @@
  * hook surface System wires into the memory path.
  *
  * Fault taxonomy and policy pairing:
- *  - retention violation  -> detection only (stat/trace/strict check)
+ *  - retention violation  -> detection only (stat and trace)
  *  - transient write fail -> write-verify-and-retry, capped backoff
  *  - stuck-at hard fault  -> ECP repair budget, then line retirement
  *  - refresh-queue stall  -> injected pressure; the refresh-pressure

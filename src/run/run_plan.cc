@@ -14,30 +14,15 @@ namespace rrm::run
 {
 
 RunSpec &
-RunPlan::add(sys::SystemConfig config, std::string id, std::string label)
+RunPlan::add(sys::SystemConfig config, std::string id)
 {
     RunSpec spec;
     if (id.empty())
         id = config.workload.name + "." + config.scheme.name();
     spec.id = std::move(id);
-    spec.label = label.empty() ? spec.id : std::move(label);
     spec.config = std::move(config);
     runs_.push_back(std::move(spec));
     return runs_.back();
-}
-
-RunPlan
-RunPlan::matrix(const std::vector<trace::Workload> &workloads,
-                const std::vector<sys::Scheme> &schemes,
-                const std::function<sys::SystemConfig(
-                    const trace::Workload &, const sys::Scheme &)>
-                    &configFor)
-{
-    RunPlan plan;
-    for (const auto &w : workloads)
-        for (const auto &s : schemes)
-            plan.add(configFor(w, s));
-    return plan;
 }
 
 void

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "system/system.hh"
-#include "trace/workload.hh"
 
 namespace rrm::run
 {
@@ -42,9 +41,6 @@ struct RunSpec
     /** Stable plan-unique id, e.g. "GemsFDTD.RRM". */
     std::string id;
 
-    /** Display label for progress output; defaults to the id. */
-    std::string label;
-
     sys::SystemConfig config;
 
     PostRunHook postRun;
@@ -55,23 +51,10 @@ class RunPlan
 {
   public:
     /**
-     * Append a run. An empty id defaults to
-     * "<workload>.<scheme>"; an empty label defaults to the id.
+     * Append a run. An empty id defaults to "<workload>.<scheme>".
      * Returns the spec for further adjustment (hooks, config edits).
      */
-    RunSpec &add(sys::SystemConfig config, std::string id = "",
-                 std::string label = "");
-
-    /**
-     * Build the standard figure matrix: every workload under every
-     * scheme, in (workload-major) order, ids "<workload>.<scheme>".
-     * `configFor` produces the fully-resolved config of one cell.
-     */
-    static RunPlan matrix(
-        const std::vector<trace::Workload> &workloads,
-        const std::vector<sys::Scheme> &schemes,
-        const std::function<sys::SystemConfig(
-            const trace::Workload &, const sys::Scheme &)> &configFor);
+    RunSpec &add(sys::SystemConfig config, std::string id = "");
 
     /**
      * Validate the whole plan, aggregating every problem into one

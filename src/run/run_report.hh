@@ -6,9 +6,8 @@
  * executed the plan or how their runs interleaved, so everything
  * derived from a report (tables, bench JSON, geomeans) is
  * byte-identical across --jobs settings. Wall-clock observations
- * (per-run seconds, the slowest-run watermark, the "run" profile) are
- * the only nondeterministic fields and stay out of the deterministic
- * payloads, mirroring the stats-vs-profile split of the obs layer.
+ * (per-run and whole-plan seconds) are the only nondeterministic
+ * fields and stay out of the deterministic payloads.
  */
 
 #ifndef RRM_RUN_RUN_REPORT_HH
@@ -18,8 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/profiler.hh"
-#include "stats/stats.hh"
 #include "system/results.hh"
 
 namespace rrm::run
@@ -31,13 +28,12 @@ enum class RunStatus : std::uint8_t
     Ok = 0,
     Failed,    ///< the run threw; see RunResult::error
     Cancelled, ///< never started: --fail-fast after an earlier failure
-    TimedOut,  ///< exceeded its wall-clock timeout on every attempt
+    TimedOut,  ///< exceeded SystemConfig::wallTimeoutSeconds
 
     /**
      * Stopped by a graceful-stop request (SIGINT/SIGTERM via
      * common/interrupt.hh). The run wrote a best-effort final
-     * checkpoint first when checkpointing was configured; it is
-     * never retried.
+     * checkpoint first when checkpointing was configured.
      */
     Interrupted,
 };
@@ -52,7 +48,6 @@ const char *runStatusName(RunStatus status);
 struct RunResult
 {
     std::string id;
-    std::string label;
     RunStatus status = RunStatus::Cancelled;
 
     /** Failure message ("" unless status is Failed / TimedOut). */
@@ -61,23 +56,8 @@ struct RunResult
     /** Valid only when status == Ok. */
     sys::SimResults results;
 
-    /** Attempts executed (0 = never started; > 1 means retried). */
-    unsigned attempts = 0;
-
-    /**
-     * Host wall-clock seconds of this run, across all attempts
-     * (nondeterministic).
-     */
+    /** Host wall-clock seconds of this run (nondeterministic). */
     double wallSeconds = 0.0;
-
-    /** Simulator events the winning attempt executed (0 unless Ok). */
-    std::uint64_t eventsExecuted = 0;
-
-    /**
-     * Host throughput: eventsExecuted / wallSeconds, 0 when the
-     * clock is pinned via SOURCE_DATE_EPOCH (nondeterministic).
-     */
-    double eventsPerSecond = 0.0;
 };
 
 /** Aggregated outcome of one executed plan. */
@@ -113,19 +93,6 @@ struct RunReport
      * decide failure policy first; see allOk()).
      */
     std::vector<sys::SimResults> okResults() const;
-
-    /**
-     * Register the plan-level execution counters as a "run" child of
-     * `parent`: runs/completed/failed/cancelled/jobs plus the
-     * (nondeterministic) wallSeconds and slowestRunSeconds.
-     */
-    void registerStats(stats::StatGroup &parent) const;
-
-    /**
-     * Wall-clock profile of the execution: "run" (whole plan) with
-     * one "run.<id>" child per completed run, fed in plan order.
-     */
-    obs::Profiler profile() const;
 
     /** One-line failure summary, e.g. for fatal() ("" if allOk). */
     std::string failureSummary() const;

@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "common/interrupt.hh"
-#include "common/logging.hh"
 #include "obs/run_record.hh"
 #include "system/system.hh"
 
@@ -50,11 +49,10 @@ struct Execution
     /** Set by the first failure when failFast is on. */
     std::atomic<bool> aborted{false};
 
-    /** Serializes progress accounting and the onProgress callback. */
+    /** Serializes the --verbose progress count and lines. */
     std::mutex progressMutex;
     std::size_t finished = 0;          // guarded by progressMutex
     double slowestSeconds = 0.0;       // guarded by progressMutex
-    double finishedSeconds = 0.0;      // guarded by progressMutex
 };
 
 /** Execute plan run `index`, filling its plan-order report slot. */
@@ -70,95 +68,39 @@ executeOne(Execution &ex, std::size_t index)
         return;
     const double start = obs::monotonicSeconds();
 
-    sys::SystemConfig config = spec.config;
-    if (config.wallTimeoutSeconds == 0.0)
-        config.wallTimeoutSeconds = ex.options.timeoutSeconds;
-    const bool checkpointing = config.checkpointEveryEpochs > 0 &&
-                               !config.checkpointDir.empty();
-
-    const unsigned attempts = 1 + ex.options.retries;
-    for (unsigned attempt = 1; attempt <= attempts; ++attempt) {
-        // Stop retrying once a stop was requested; the last attempt's
-        // status (TimedOut/Failed) stands.
-        if (attempt > 1 && interruptRequested())
-            break;
-        slot.attempts = attempt;
-        // Re-attempts of a checkpointing run pick up from the newest
-        // valid checkpoint the failed attempt published (tryResume
-        // falls back older -> cold start on corruption), so a timed
-        // out long run does not repeat its completed hours.
-        if (attempt > 1 && checkpointing)
-            config.resumeFromCheckpoint = true;
-        try {
-            sys::System system(config);
-            slot.results = system.run();
-            if (spec.postRun)
-                spec.postRun(system, slot.results);
-            slot.status = RunStatus::Ok;
-            slot.error.clear();
-            break;
-        } catch (const sys::SimInterruptedError &e) {
-            // The System already drained and wrote its best-effort
-            // final checkpoint before unwinding. Never retried: the
-            // user asked the whole pool to stop.
-            slot.status = RunStatus::Interrupted;
-            slot.error = e.what();
-            break;
-        } catch (const sys::SimTimeoutError &e) {
-            slot.status = RunStatus::TimedOut;
-            slot.error = e.what();
-        } catch (const std::exception &e) {
-            slot.status = RunStatus::Failed;
-            slot.error = e.what();
-        }
+    // Runs are deterministic, so a failed run is not re-attempted: a
+    // second attempt on the same config would fail the same way.
+    try {
+        sys::System system(spec.config);
+        slot.results = system.run();
+        if (spec.postRun)
+            spec.postRun(system, slot.results);
+        slot.status = RunStatus::Ok;
+    } catch (const sys::SimInterruptedError &e) {
+        // The System already drained and wrote its best-effort final
+        // checkpoint before unwinding.
+        slot.status = RunStatus::Interrupted;
+        slot.error = e.what();
+    } catch (const sys::SimTimeoutError &e) {
+        slot.status = RunStatus::TimedOut;
+        slot.error = e.what();
+    } catch (const std::exception &e) {
+        slot.status = RunStatus::Failed;
+        slot.error = e.what();
     }
     if (slot.status != RunStatus::Ok && ex.options.failFast)
         ex.aborted.store(true, std::memory_order_relaxed);
     slot.wallSeconds = secondsSince(start);
-    if (slot.status == RunStatus::Ok) {
-        slot.eventsExecuted = slot.results.eventsExecuted;
-        if (slot.wallSeconds > 0.0) {
-            slot.eventsPerSecond =
-                static_cast<double>(slot.eventsExecuted) /
-                slot.wallSeconds;
-        }
-    }
 
-    RunProgress progress;
-    progress.index = index;
-    progress.status = slot.status;
-    progress.runSeconds = slot.wallSeconds;
-    progress.total = ex.plan.size();
-    progress.eventsExecuted = slot.eventsExecuted;
-    progress.eventsPerSecond = slot.eventsPerSecond;
-    {
-        const std::lock_guard<std::mutex> lock(ex.progressMutex);
-        progress.finished = ++ex.finished;
-        if (slot.status == RunStatus::Ok &&
-            slot.wallSeconds > ex.slowestSeconds) {
-            ex.slowestSeconds = slot.wallSeconds;
-        }
-        progress.slowestSeconds = ex.slowestSeconds;
-        ex.finishedSeconds += slot.wallSeconds;
-        const std::size_t remaining = progress.total - progress.finished;
-        if (remaining > 0 && ex.finishedSeconds > 0.0) {
-            const double mean = ex.finishedSeconds /
-                                static_cast<double>(progress.finished);
-            progress.etaSeconds =
-                mean * static_cast<double>(remaining) /
-                static_cast<double>(ex.report.jobs ? ex.report.jobs : 1);
-        }
-        if (ex.options.verbose) {
-            std::fprintf(stderr,
-                         "  [%zu/%zu] %-9s %-32s %6.2f s"
-                         " (slowest %.2f s)\n",
-                         progress.finished, progress.total,
-                         runStatusName(slot.status), spec.label.c_str(),
-                         slot.wallSeconds, progress.slowestSeconds);
-        }
-        if (ex.options.onProgress)
-            ex.options.onProgress(progress);
-    }
+    if (!ex.options.verbose)
+        return;
+    const std::lock_guard<std::mutex> lock(ex.progressMutex);
+    ++ex.finished;
+    if (slot.status == RunStatus::Ok && slot.wallSeconds > ex.slowestSeconds)
+        ex.slowestSeconds = slot.wallSeconds;
+    std::fprintf(stderr, "  [%zu/%zu] %-9s %-32s %6.2f s (slowest %.2f s)\n",
+                 ex.finished, ex.plan.size(), runStatusName(slot.status),
+                 spec.id.c_str(), slot.wallSeconds, ex.slowestSeconds);
 }
 
 /** Worker loop: pull plan indices until the plan (or dispatch) ends. */
@@ -211,7 +153,6 @@ Runner::execute(const RunPlan &plan) const
     report.runs.resize(plan.size());
     for (std::size_t i = 0; i < plan.size(); ++i) {
         report.runs[i].id = plan[i].id;
-        report.runs[i].label = plan[i].label;
         report.runs[i].status = RunStatus::Cancelled;
     }
     report.jobs = effectiveJobs(plan.size());

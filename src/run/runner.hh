@@ -21,51 +21,11 @@
 #ifndef RRM_RUN_RUNNER_HH
 #define RRM_RUN_RUNNER_HH
 
-#include <functional>
-
 #include "run/run_plan.hh"
 #include "run/run_report.hh"
 
 namespace rrm::run
 {
-
-/** Progress snapshot passed to RunnerOptions::onProgress. */
-struct RunProgress
-{
-    /** Plan-order index of the run that just finished. */
-    std::size_t index = 0;
-
-    /** Status it finished with. */
-    RunStatus status = RunStatus::Ok;
-
-    /** Runs finished (ok or failed) so far, including this one. */
-    std::size_t finished = 0;
-
-    std::size_t total = 0;
-
-    /** Wall seconds of this run. */
-    double runSeconds = 0.0;
-
-    /** Slowest completed run seen so far (the watermark). */
-    double slowestSeconds = 0.0;
-
-    /** Simulator events this run executed (0 unless Ok). */
-    std::uint64_t eventsExecuted = 0;
-
-    /**
-     * Host throughput of this run: eventsExecuted / runSeconds.
-     * 0 when the clock is pinned (SOURCE_DATE_EPOCH) or the run
-     * was not Ok. Nondeterministic.
-     */
-    double eventsPerSecond = 0.0;
-
-    /**
-     * Naive remaining-time estimate: mean completed-run seconds x
-     * remaining runs / workers. 0 once the plan is done or while
-     * the clock is pinned. Nondeterministic.
-     */
-    double etaSeconds = 0.0;
-};
 
 /** Execution policy of one Runner. */
 struct RunnerOptions
@@ -84,37 +44,12 @@ struct RunnerOptions
      */
     bool failFast = false;
 
-    /** Print per-run progress lines to stderr. */
+    /**
+     * Print one "[k/n] status id seconds" line per finished run to
+     * stderr, serialized under the runner's progress lock. Runs may
+     * finish in any order under jobs > 1.
+     */
     bool verbose = false;
-
-    /**
-     * Per-run wall-clock budget in seconds, applied to every run whose
-     * config does not already set SystemConfig::wallTimeoutSeconds.
-     * A run over budget raises SimTimeoutError between event batches
-     * and is recorded TimedOut (after exhausting retries) without
-     * stalling the rest of the plan. 0 disables the runner-level
-     * timeout.
-     */
-    double timeoutSeconds = 0.0;
-
-    /**
-     * Re-attempts after a failed or timed-out run: each run executes
-     * at most `1 + retries` times on a fresh System; the first Ok
-     * attempt wins. The final status reflects the last attempt.
-     * When the run's config enables checkpointing, re-attempts set
-     * SystemConfig::resumeFromCheckpoint so they continue from the
-     * newest valid checkpoint (older on corruption, then cold)
-     * instead of repeating the completed portion. Interrupted runs
-     * (SIGINT/SIGTERM) are never retried.
-     */
-    unsigned retries = 0;
-
-    /**
-     * Called after every run finishes, serialized under the runner's
-     * progress lock (callbacks never overlap). Runs may finish in any
-     * order under jobs > 1.
-     */
-    std::function<void(const RunProgress &)> onProgress;
 };
 
 /** Executes RunPlans; stateless between execute() calls. */
@@ -133,8 +68,6 @@ class Runner
      * throw FatalError before anything executes.
      */
     RunReport execute(const RunPlan &plan) const;
-
-    const RunnerOptions &options() const { return options_; }
 
   private:
     RunnerOptions options_;

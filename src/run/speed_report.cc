@@ -11,6 +11,20 @@
 namespace rrm::run
 {
 
+std::uint64_t
+eventsExecuted(const RunResult &run)
+{
+    return run.status == RunStatus::Ok ? run.results.eventsExecuted : 0;
+}
+
+double
+eventsPerSecond(const RunResult &run)
+{
+    return run.wallSeconds > 0.0
+               ? static_cast<double>(eventsExecuted(run)) / run.wallSeconds
+               : 0.0;
+}
+
 void
 writeSpeedReport(std::ostream &os, const std::string &bench_name,
                  const RunReport &report)
@@ -26,14 +40,15 @@ writeSpeedReport(std::ostream &os, const std::string &bench_name,
     json.key("runs");
     json.beginArray();
     for (const RunResult &run : report.runs) {
+        const std::uint64_t events = eventsExecuted(run);
         json.beginObject();
         json.field("id", run.id);
         json.field("status", runStatusName(run.status));
-        json.field("eventsExecuted", run.eventsExecuted);
+        json.field("eventsExecuted", events);
         json.field("wallSeconds", run.wallSeconds);
-        json.field("eventsPerSecond", run.eventsPerSecond);
+        json.field("eventsPerSecond", eventsPerSecond(run));
         json.endObject();
-        total_events += run.eventsExecuted;
+        total_events += events;
     }
     json.endArray();
 

@@ -26,6 +26,7 @@
 #ifndef RRM_RUN_SPEED_REPORT_HH
 #define RRM_RUN_SPEED_REPORT_HH
 
+#include <cstdint>
 #include <ostream>
 #include <string>
 
@@ -36,6 +37,15 @@ namespace rrm::run
 
 /** Schema version of the speed reports. */
 constexpr int speedReportSchemaVersion = 1;
+
+/** Simulator events `run` executed; 0 unless it finished Ok. */
+std::uint64_t eventsExecuted(const RunResult &run);
+
+/**
+ * Host throughput of `run`: eventsExecuted(run) / wallSeconds, 0 when
+ * the clock is pinned (SOURCE_DATE_EPOCH) or the run was not Ok.
+ */
+double eventsPerSecond(const RunResult &run);
 
 /**
  * Write the throughput report of `report` (see the schema above).

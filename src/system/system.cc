@@ -864,15 +864,12 @@ System::writeConfigJson(obs::JsonWriter &json) const
                static_cast<int>(config_.refreshTiming));
     json.field("memoryBytes", config_.memory.memoryBytes);
     json.field("auditEveryEvents", config_.auditEveryEvents);
-    if (config_.wallTimeoutSeconds > 0.0)
-        json.field("wallTimeoutSeconds", config_.wallTimeoutSeconds);
     if (config_.fault.enabled()) {
         json.key("fault");
         json.beginObject();
         json.field("retentionTracking", config_.fault.retentionTracking);
         json.field("retentionSlackSeconds",
                    config_.fault.retentionSlackSeconds);
-        json.field("strict", config_.fault.strict);
         json.field("transientWriteFailureRate",
                    config_.fault.transientWriteFailureRate);
         json.field("maxWriteRetries", config_.fault.maxWriteRetries);

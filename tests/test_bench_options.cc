@@ -4,7 +4,7 @@
  * numeric flag goes through one checked parser, so a malformed value
  * is a fatal error naming the flag and the value instead of a silent
  * 0 or a wrapped-around unsigned. Scheme names are checked at parse
- * time, and checkpoint flags reach SystemConfig::validate.
+ * time, and checkpoint and timeout flags reach SystemConfig::validate.
  */
 
 #include <gtest/gtest.h>
@@ -52,15 +52,14 @@ TEST(BenchOptions, ParsesWellFormedNumbers)
 {
     const BenchOptions o = parseArgs(
         {"--window-ms", "12.5", "--scale", "250", "--seed",
-         "18446744073709551615", "--jobs", "4", "--retries", "2",
-         "--timeout", "1e3", "--checkpoint-every", "3", "--fault-rate",
-         "0.001", "--fault-seed", "9", "--fault-wear-threshold", "100",
+         "18446744073709551615", "--jobs", "4", "--timeout", "1e3",
+         "--checkpoint-every", "3", "--fault-rate", "0.001",
+         "--fault-seed", "9", "--fault-wear-threshold", "100",
          "--fault-stall-ms", "2", "--fault-stall-period-ms", "8"});
     EXPECT_DOUBLE_EQ(o.windowSeconds, 0.0125);
     EXPECT_DOUBLE_EQ(o.timeScale, 250.0);
     EXPECT_EQ(o.seed, 18446744073709551615ull);
     EXPECT_EQ(o.jobs, 4u);
-    EXPECT_EQ(o.retries, 2u);
     EXPECT_DOUBLE_EQ(o.timeoutSeconds, 1000.0);
     EXPECT_EQ(o.checkpointEveryEpochs, 3u);
     EXPECT_DOUBLE_EQ(o.fault.transientWriteFailureRate, 0.001);
@@ -78,7 +77,7 @@ TEST(BenchOptions, RejectsMalformedNumbers)
         {"--seed", ""},
         // Trailing characters.
         {"--jobs", "x"},
-        {"--retries", "2x"},
+        {"--fault-wear-threshold", "2x"},
         {"--scale", "1.5ms"},
         {"--fault-seed", "7 "},
         // Negative values for unsigned flags.
@@ -99,7 +98,7 @@ TEST(BenchOptions, EveryNumericFlagIsChecked)
 {
     for (const char *flag :
          {"--window-ms", "--scale", "--seed", "--jobs", "--timeout",
-          "--retries", "--checkpoint-every", "--fault-rate",
+          "--checkpoint-every", "--fault-rate",
           "--fault-seed", "--fault-wear-threshold", "--fault-stall-ms",
           "--fault-stall-period-ms"}) {
         expectRejected(flag, "x");
@@ -121,7 +120,10 @@ TEST(BenchOptions, UnknownSchemeNameIsRejectedAtParse)
               2u);
 }
 
-/** Checkpoint flags reach SystemConfig, which judges the combination. */
+/**
+ * Checkpoint and timeout flags reach SystemConfig, which judges their
+ * values and combinations.
+ */
 TEST(BenchOptions, CheckpointFlagsReachConfigValidation)
 {
     const auto errorsOf = [](std::vector<std::string> args) {
@@ -141,7 +143,33 @@ TEST(BenchOptions, CheckpointFlagsReachConfigValidation)
               std::string::npos)
         << resume[0];
 
+    const std::vector<std::string> timeout = errorsOf({"--timeout", "-1"});
+    ASSERT_EQ(timeout.size(), 1u);
+    EXPECT_NE(timeout[0].find("timeout"), std::string::npos)
+        << timeout[0];
+
     EXPECT_TRUE(errorsOf({}).empty());
+}
+
+/** runMatrix() reshapes the flat report by this workload-major order. */
+TEST(PlanBuilder, MatrixBuildsWorkloadMajorOrder)
+{
+    const std::vector<trace::Workload> workloads = {
+        trace::workloadFromName("lbm"),
+        trace::workloadFromName("libquantum")};
+    const std::vector<sys::Scheme> schemes = {
+        sys::Scheme::staticScheme(pcm::WriteMode::Sets7),
+        sys::Scheme::rrmScheme()};
+    const BenchOptions opts = parseArgs({"--quick"});
+    PlanBuilder builder(opts);
+    const run::RunPlan plan = builder.matrix(workloads, schemes).build();
+    ASSERT_EQ(plan.size(), 4u);
+    EXPECT_EQ(plan[0].id, "lbm.Static-7-SETs");
+    EXPECT_EQ(plan[1].id, "lbm.RRM");
+    EXPECT_EQ(plan[2].id, "libquantum.Static-7-SETs");
+    EXPECT_EQ(plan[3].id, "libquantum.RRM");
+    EXPECT_EQ(plan[3].config.workload.name, "libquantum");
+    EXPECT_EQ(plan[3].config.scheme.name(), "RRM");
 }
 
 } // namespace

@@ -515,6 +515,26 @@ TEST_F(CkptResume, FingerprintMismatchIsRejected)
     EXPECT_EQ(epoch, 0u);
 }
 
+TEST_F(CkptResume, TimeoutChangeStillResumes)
+{
+    const fs::path ref_dir = freshDir("timeout_ref");
+    const SystemConfig cfg =
+        ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
+                   ref_dir / "rec.json", /*faults=*/false);
+    const std::string ref_record = referenceRun(cfg);
+    ASSERT_GE(epochCheckpoints(ref_dir).size(), 1u);
+
+    // The relaunch of a timed-out run may grant a different host
+    // budget. A wall-clock budget changes no simulated result, so the
+    // relaunch must accept its own checkpoints and match the record.
+    SystemConfig relaunch = cfg;
+    relaunch.wallTimeoutSeconds = 1000.0;
+    const auto [record, epoch] =
+        resumeRun(relaunch, ref_dir, ref_dir / "rec_relaunch.json");
+    EXPECT_GT(epoch, 0u);
+    EXPECT_EQ(record, ref_record);
+}
+
 // ---------------------------------------------------------------------
 // SIGKILL mid-flight: a forked child is killed while simulating; the
 // parent resumes from whatever the child managed to publish.

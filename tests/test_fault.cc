@@ -3,7 +3,7 @@
  * The fault layer: retention-deadline arithmetic (including the
  * 2.01 s / 0.01 s guardband boundary), deterministic fault draws,
  * ECP repair and line retirement, refresh holds, the refresh-pressure
- * fallback, runner timeouts/retries, and the end-to-end contract that
+ * fallback, runner timeouts, and the end-to-end contract that
  * the RRM keeps retention violations at zero where Static-3-SETs
  * accumulates them — with byte-identical fault stats across worker
  * counts.
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -573,7 +572,7 @@ TEST_F(FaultTest, FaultStatsAreByteIdenticalAcrossWorkerCounts)
     fs::remove_all(base);
 }
 
-// ---- Runner timeouts and retries ----
+// ---- Runner timeouts ----
 
 sys::SystemConfig
 tinyConfig(const char *workload)
@@ -602,61 +601,12 @@ TEST_F(FaultTest, TimedOutRunIsRecordedWithoutStallingThePlan)
 
     ASSERT_EQ(report.runs.size(), 2u);
     EXPECT_EQ(report.runs[0].status, run::RunStatus::TimedOut);
-    EXPECT_EQ(report.runs[0].attempts, 1u);
     EXPECT_EQ(report.runs[1].status, run::RunStatus::Ok);
     EXPECT_EQ(report.timedOutCount(), 1u);
     EXPECT_NE(report.failureSummary().find("doomed timed-out"),
               std::string::npos)
         << report.failureSummary();
     EXPECT_NE(report.runs[0].error.find("timeout"), std::string::npos);
-}
-
-TEST_F(FaultTest, RunnerTimeoutAppliesWhereConfigSetsNone)
-{
-    run::RunPlan plan;
-    plan.add(tinyConfig("lbm"), "run");
-    run::RunnerOptions opts;
-    opts.jobs = 1;
-    opts.timeoutSeconds = 1e-9;
-    const run::RunReport report = run::Runner(opts).execute(plan);
-    EXPECT_EQ(report.runs[0].status, run::RunStatus::TimedOut);
-}
-
-TEST_F(FaultTest, RetriesRecoverAFlakyRun)
-{
-    run::RunPlan plan;
-    auto attempts_seen = std::make_shared<std::atomic<int>>(0);
-    run::RunSpec &spec = plan.add(tinyConfig("lbm"), "flaky");
-    spec.postRun = [attempts_seen](const sys::System &,
-                                   const sys::SimResults &) {
-        if (attempts_seen->fetch_add(1) == 0)
-            throw std::runtime_error("injected first-attempt failure");
-    };
-
-    run::RunnerOptions opts;
-    opts.jobs = 1;
-    opts.retries = 1;
-    const run::RunReport report = run::Runner(opts).execute(plan);
-    EXPECT_EQ(report.runs[0].status, run::RunStatus::Ok);
-    EXPECT_EQ(report.runs[0].attempts, 2u);
-    EXPECT_TRUE(report.runs[0].error.empty());
-    EXPECT_TRUE(report.allOk());
-}
-
-TEST_F(FaultTest, RetriesExhaustToFailed)
-{
-    run::RunPlan plan;
-    run::RunSpec &spec = plan.add(tinyConfig("lbm"), "broken");
-    spec.postRun = [](const sys::System &, const sys::SimResults &) {
-        throw std::runtime_error("always fails");
-    };
-    run::RunnerOptions opts;
-    opts.jobs = 1;
-    opts.retries = 2;
-    const run::RunReport report = run::Runner(opts).execute(plan);
-    EXPECT_EQ(report.runs[0].status, run::RunStatus::Failed);
-    EXPECT_EQ(report.runs[0].attempts, 3u);
-    EXPECT_EQ(report.runs[0].error, "always fails");
 }
 
 } // namespace

@@ -4,8 +4,8 @@
  * execution on 1..N workers, and the properties the bench layer
  * depends on — plan-order reports, byte-identical outputs across
  * worker counts (with SOURCE_DATE_EPOCH pinned), captured per-run
- * failures, fail-fast cancellation, and serialized progress
- * callbacks.
+ * failures, fail-fast cancellation, and serialized --verbose
+ * progress lines.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -65,38 +64,15 @@ slurp(const fs::path &path)
     return ss.str();
 }
 
-TEST(RunPlan, DefaultsIdsAndLabels)
+TEST(RunPlan, DefaultIdIsWorkloadDotScheme)
 {
     RunPlan plan;
-    RunSpec &a = plan.add(quickConfig("lbm", kStatic7));
-    EXPECT_EQ(a.id, "lbm.Static-7-SETs");
-    EXPECT_EQ(a.label, "lbm.Static-7-SETs");
-
-    RunSpec &b = plan.add(quickConfig("lbm", kStatic7), "lbm.sweep-1",
-                          "lbm sweep point 1");
-    EXPECT_EQ(b.id, "lbm.sweep-1");
-    EXPECT_EQ(b.label, "lbm sweep point 1");
+    EXPECT_EQ(plan.add(quickConfig("lbm", kStatic7)).id,
+              "lbm.Static-7-SETs");
+    EXPECT_EQ(plan.add(quickConfig("lbm", kStatic7), "lbm.sweep-1").id,
+              "lbm.sweep-1");
     EXPECT_EQ(plan.size(), 2u);
     EXPECT_NO_THROW(plan.validate());
-}
-
-TEST(RunPlan, MatrixBuildsWorkloadMajorOrder)
-{
-    const std::vector<trace::Workload> workloads = {
-        trace::workloadFromName("lbm"),
-        trace::workloadFromName("libquantum")};
-    const std::vector<sys::Scheme> schemes = {
-        kStatic7, sys::Scheme::rrmScheme()};
-    const RunPlan plan = RunPlan::matrix(
-        workloads, schemes,
-        [](const trace::Workload &w, const sys::Scheme &s) {
-            return quickConfig(w.name, s);
-        });
-    ASSERT_EQ(plan.size(), 4u);
-    EXPECT_EQ(plan[0].id, "lbm.Static-7-SETs");
-    EXPECT_EQ(plan[1].id, "lbm.RRM");
-    EXPECT_EQ(plan[2].id, "libquantum.Static-7-SETs");
-    EXPECT_EQ(plan[3].id, "libquantum.RRM");
 }
 
 TEST(RunPlan, ValidateAggregatesAllProblemsIntoOneError)
@@ -317,53 +293,31 @@ TEST(Runner, FailFastCancelsQueuedRuns)
     EXPECT_NE(summary.find("cancelled"), std::string::npos) << summary;
 }
 
-TEST(Runner, ProgressCallbackReportsEveryExecutedRun)
+TEST(Runner, VerboseLinesReportEveryExecutedRun)
 {
-    std::vector<RunProgress> events;
     RunnerOptions opts;
     opts.jobs = 2;
-    opts.onProgress = [&](const RunProgress &p) {
-        events.push_back(p);
-    };
+    opts.verbose = true;
+    ::testing::internal::CaptureStderr();
     const RunReport report = Runner(opts).execute(smallPlan());
+    const std::string err = ::testing::internal::GetCapturedStderr();
     ASSERT_TRUE(report.allOk());
 
-    ASSERT_EQ(events.size(), 4u);
-    std::set<std::size_t> indices;
-    double slowest = 0.0;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        const RunProgress &p = events[i];
-        EXPECT_EQ(p.total, 4u);
-        EXPECT_EQ(p.finished, i + 1);
-        EXPECT_EQ(p.status, RunStatus::Ok);
-        EXPECT_GT(p.runSeconds, 0.0);
-        EXPECT_GE(p.slowestSeconds, slowest); // monotone watermark
-        slowest = p.slowestSeconds;
-        indices.insert(p.index);
+    // One line per run; the counter is serialized, so the four lines
+    // carry [1/4]..[4/4] in order whichever worker finished first.
+    std::istringstream lines(err);
+    std::string line;
+    std::size_t k = 0;
+    while (std::getline(lines, line)) {
+        if (line.find("/4] ") == std::string::npos)
+            continue; // not a progress line (e.g. a warning)
+        ++k;
+        const std::string counter = "[" + std::to_string(k) + "/4] ok";
+        EXPECT_NE(line.find(counter), std::string::npos) << line;
     }
-    EXPECT_EQ(indices, (std::set<std::size_t>{0, 1, 2, 3}));
-}
-
-TEST(RunReport, RegistersPlanLevelStats)
-{
-    RunnerOptions opts;
-    opts.jobs = 1;
-    const RunReport report = Runner(opts).execute(smallPlan());
-
-    stats::StatGroup root("root");
-    report.registerStats(root);
-    EXPECT_NE(root.find("run.runs"), nullptr);
-    EXPECT_NE(root.find("run.completed"), nullptr);
-    EXPECT_NE(root.find("run.failed"), nullptr);
-    EXPECT_NE(root.find("run.jobs"), nullptr);
-    EXPECT_NE(root.find("run.wallSeconds"), nullptr);
-
-    // The wall-clock profile has the plan root plus one node per run.
-    const obs::Profiler prof = report.profile();
-    EXPECT_EQ(prof.depth(), 0u);
-    EXPECT_EQ(prof.nodes().size(), 1 + report.runs.size());
-    EXPECT_EQ(prof.nodes().count("run"), 1u);
-    EXPECT_EQ(prof.nodes().count("run.lbm.RRM"), 1u);
+    EXPECT_EQ(k, 4u) << err;
+    for (const RunResult &r : report.runs)
+        EXPECT_NE(err.find(r.id), std::string::npos) << r.id;
 }
 
 } // namespace
