@@ -233,10 +233,12 @@ benchFlagTable()
 
 /** Print the --help text generated from the flag table. */
 void
-printFlagHelp()
+printFlagHelp(bool reads_schemes)
 {
     std::printf("flags:\n");
     for (const BenchFlag &flag : benchFlagTable()) {
+        if (!reads_schemes && std::strcmp(flag.name, "--schemes") == 0)
+            continue;
         std::string usage = flag.name;
         if (flag.valueName)
             usage += std::string(" ") + flag.valueName;
@@ -248,15 +250,18 @@ printFlagHelp()
 } // namespace
 
 BenchOptions
-BenchOptions::parse(int argc, char **argv)
+BenchOptions::parse(int argc, char **argv, bool reads_schemes)
 {
     BenchOptions opts;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
-            printFlagHelp();
+            printFlagHelp(reads_schemes);
             std::exit(0);
         }
+        if (arg == "--schemes" && !reads_schemes)
+            fatal("this bench runs a fixed scheme set and does not take "
+                  "--schemes");
         const BenchFlag *match = nullptr;
         for (const BenchFlag &flag : benchFlagTable()) {
             if (arg == flag.name) {

@@ -116,9 +116,12 @@ struct BenchOptions
      * Parse argv against the declarative flag table (see
      * benchFlagTable() in bench_common.cc); --help prints the
      * generated usage text and exits. A malformed flag or value is
-     * a fatal() naming it.
+     * a fatal() naming it. Only a bench that calls selectedSchemes()
+     * passes `reads_schemes`; every other bench rejects --schemes
+     * instead of ignoring it.
      */
-    static BenchOptions parse(int argc, char **argv);
+    static BenchOptions parse(int argc, char **argv,
+                              bool reads_schemes = false);
 
     /** Workloads selected by the options (named + --mix specs). */
     std::vector<trace::Workload> selectedWorkloads() const;

@@ -80,7 +80,7 @@ int
 benchMain(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::BenchOptions::parse(argc, argv);
+        bench::BenchOptions::parse(argc, argv, /*reads_schemes=*/true);
 
     const std::vector<trace::Workload> mixes =
         (opts.mixes.empty() && opts.workloads.empty())

@@ -146,24 +146,24 @@ Cache::audit() const
         for (unsigned w = 0; w < config_.assoc; ++w) {
             const std::size_t slot = base + w;
             if (tags_[slot] == kEmpty) {
-                RRM_AUDIT(!dirtyAt(slot), "cache '", config_.name,
-                          "': invalid line is dirty (set ", set,
-                          " way ", w, ")");
+                RRM_ASSERT(!dirtyAt(slot), "cache '", config_.name,
+                           "': invalid line is dirty (set ", set,
+                           " way ", w, ")");
                 continue;
             }
             const Addr addr = tags_[slot] << lineShift_;
-            RRM_AUDIT(setIndex(addr) == set, "cache '", config_.name,
-                      "': tag in set ", set, " indexes to set ",
-                      setIndex(addr));
+            RRM_ASSERT(setIndex(addr) == set, "cache '", config_.name,
+                       "': tag in set ", set, " indexes to set ",
+                       setIndex(addr));
             for (unsigned v = w + 1; v < config_.assoc; ++v) {
                 if (tags_[base + v] == kEmpty)
                     continue;
-                RRM_AUDIT(tags_[base + v] != tags_[slot], "cache '",
-                          config_.name, "': duplicate tag in set ", set,
-                          " (ways ", w, " and ", v, ")");
-                RRM_AUDIT(stamps_[base + v] != stamps_[slot], "cache '",
-                          config_.name, "': duplicate LRU stamp in set ",
-                          set, " (ways ", w, " and ", v, ")");
+                RRM_ASSERT(tags_[base + v] != tags_[slot], "cache '",
+                           config_.name, "': duplicate tag in set ", set,
+                           " (ways ", w, " and ", v, ")");
+                RRM_ASSERT(stamps_[base + v] != stamps_[slot], "cache '",
+                           config_.name, "': duplicate LRU stamp in set ",
+                           set, " (ways ", w, " and ", v, ")");
             }
         }
     }

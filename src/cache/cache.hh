@@ -193,8 +193,6 @@ class Cache : public Auditable
     /** @} */
 
     // ---- Auditable ----
-    std::string_view auditName() const override { return config_.name; }
-
     /**
      * Invariants: no duplicate valid tags within a set, every valid
      * tag indexes back to the set holding it, dirty state only on

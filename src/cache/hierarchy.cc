@@ -203,22 +203,22 @@ CacheHierarchy::audit() const
         l2s_[c]->audit();
 
         l1s_[c]->forEachValidLine([&](Addr a) {
-            RRM_AUDIT(l2s_[c]->contains(a), "inclusion: L1 line 0x",
-                      std::hex, a, std::dec, " of core ", c,
-                      " absent from L2");
+            RRM_ASSERT(l2s_[c]->contains(a), "inclusion: L1 line 0x",
+                       std::hex, a, std::dec, " of core ", c,
+                       " absent from L2");
         });
         l2s_[c]->forEachValidLine([&](Addr a) {
-            RRM_AUDIT(llc_->contains(a), "inclusion: L2 line 0x",
-                      std::hex, a, std::dec, " of core ", c,
-                      " absent from the LLC");
+            RRM_ASSERT(llc_->contains(a), "inclusion: L2 line 0x",
+                       std::hex, a, std::dec, " of core ", c,
+                       " absent from the LLC");
         });
     }
     llc_->forEachValidLine([&](Addr a) {
         const int owner = llc_->owner(a);
-        RRM_AUDIT(owner >= -1 &&
-                      owner < static_cast<int>(config_.numCores),
-                  "LLC line 0x", std::hex, a, std::dec,
-                  " has impossible owner ", owner);
+        RRM_ASSERT(owner >= -1 &&
+                       owner < static_cast<int>(config_.numCores),
+                   "LLC line 0x", std::hex, a, std::dec,
+                   " has impossible owner ", owner);
     });
 }
 

@@ -109,8 +109,6 @@ class CacheHierarchy : public Auditable
     /** @} */
 
     // ---- Auditable ----
-    std::string_view auditName() const override { return "hierarchy"; }
-
     /**
      * Invariants: each level's own array is consistent (see
      * Cache::audit), inclusion holds (L1 ⊆ L2 ⊆ LLC), dirty upper

@@ -5,22 +5,16 @@
  * An Auditable component knows how to walk its own state and verify
  * every structural invariant it relies on (request conservation, LRU
  * stamp uniqueness, remap bijectivity, ...). Implementations express
- * each invariant with RRM_AUDIT, so a violation is counted, logged,
- * thrown, or aborted according to the global check::FailurePolicy.
+ * each invariant with RRM_ASSERT, so the first violation panics.
  *
  * System runs the audits of every component it owns on a configurable
  * executed-event cadence (SystemConfig::auditEveryEvents); tests call
- * runAudit() directly after seeding deliberate corruption to prove the
+ * audit() directly after seeding deliberate corruption to prove the
  * audits actually bite.
  */
 
 #ifndef RRM_COMMON_AUDITABLE_HH
 #define RRM_COMMON_AUDITABLE_HH
-
-#include <cstdint>
-#include <string_view>
-
-#include "common/check.hh"
 
 namespace rrm
 {
@@ -31,30 +25,9 @@ class Auditable
   public:
     virtual ~Auditable() = default;
 
-    /** Component name used in audit reports ("rrm", "channel0", ...). */
-    virtual std::string_view auditName() const = 0;
-
-    /**
-     * Verify every internal invariant via RRM_AUDIT. Under the
-     * LogAndCount policy this returns normally with violations
-     * counted; under Throw/Abort the first violation escapes.
-     */
+    /** Verify every internal invariant; panic() on the first broken one. */
     virtual void audit() const = 0;
 };
-
-/**
- * Run one component's audit and report how many violations it added
- * to the global audit counter. Under FailurePolicy::Throw or Abort
- * the first violation propagates instead (count would be 1).
- */
-inline std::uint64_t
-runAudit(const Auditable &component)
-{
-    const std::uint64_t before =
-        check::violationCount(check::ViolationKind::Audit);
-    component.audit();
-    return check::violationCount(check::ViolationKind::Audit) - before;
-}
 
 } // namespace rrm
 

@@ -22,6 +22,7 @@ namespace
 {
 
 std::atomic<std::uint64_t> warnCounter{0};
+std::atomic<std::uint64_t> panicCounter{0};
 std::atomic<bool> quietMode{false};
 std::atomic<int> minSeverity{static_cast<int>(LogSeverity::Info)};
 
@@ -120,9 +121,16 @@ warnCount()
     return warnCounter.load(std::memory_order_relaxed);
 }
 
-void
-maybeAbort(const std::string &msg)
+std::uint64_t
+panicCount()
 {
+    return panicCounter.load(std::memory_order_relaxed);
+}
+
+void
+notePanic(const std::string &msg)
+{
+    panicCounter.fetch_add(1, std::memory_order_relaxed);
     if (std::getenv("RRM_ABORT_ON_PANIC")) {
         std::cerr << msg << '\n';
         void *frames[64];

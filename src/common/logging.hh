@@ -78,11 +78,20 @@ bool shouldWarnOnce(const std::string &category);
 /** Forget every warn_once() category (tests). */
 void resetWarnOnce();
 
-/** abort() instead of throwing when RRM_ABORT_ON_PANIC is set. */
-void maybeAbort(const std::string &msg);
+/**
+ * Count one panic, then abort() instead of letting panic() throw when
+ * RRM_ABORT_ON_PANIC is set.
+ */
+void notePanic(const std::string &msg);
 
 /** Count of warnings emitted so far (inspectable from tests). */
 std::uint64_t warnCount();
+
+/**
+ * Count of panics (failed RRM_ASSERTs included) raised so far in this
+ * process; System exports it as checks.totalViolations.
+ */
+std::uint64_t panicCount();
 
 /** Silence / restore warn+inform output (used by tests and sweeps). */
 void setQuiet(bool quiet);
@@ -110,7 +119,7 @@ panic(Args &&...args)
 {
     const std::string msg =
         "panic: " + log_detail::concat(std::forward<Args>(args)...);
-    log_detail::maybeAbort(msg);
+    log_detail::notePanic(msg);
     throw PanicError(msg);
 }
 
@@ -155,7 +164,11 @@ warn_once(const std::string &category, Args &&...args)
          log_detail::concat(std::forward<Args>(args)...));
 }
 
-/** panic() unless the given condition holds. */
+/**
+ * The simulator's one contract macro: panic() unless `cond` holds.
+ * Always on, in every build type; the detail arguments are only
+ * formatted on failure.
+ */
 #define RRM_ASSERT(cond, ...)                                               \
     do {                                                                    \
         if (!(cond)) {                                                      \

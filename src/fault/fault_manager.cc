@@ -466,15 +466,15 @@ FaultManager::audit() const
     ecp_.audit();
     retirement_.audit();
     for (const auto &[block, attempts] : retryAttempts_) {
-        RRM_AUDIT(attempts <= config_.maxWriteRetries,
-                  "block ", block, " carries ", attempts,
-                  " retry attempts, beyond the cap");
+        RRM_ASSERT(attempts <= config_.maxWriteRetries,
+                   "block ", block, " carries ", attempts,
+                   " retry attempts, beyond the cap");
     }
-    RRM_AUDIT(retirement_.retiredCount() <= retirement_.spareCapacity(),
-              "more lines retired than spares exist");
-    RRM_AUDIT(!fallbackActive_ ||
-                  (policy_ && policy_->supportsPressureFallback()),
-              "fallback active without a policy able to demote");
+    RRM_ASSERT(retirement_.retiredCount() <= retirement_.spareCapacity(),
+               "more lines retired than spares exist");
+    RRM_ASSERT(!fallbackActive_ ||
+                   (policy_ && policy_->supportsPressureFallback()),
+               "fallback active without a policy able to demote");
 }
 
 } // namespace rrm::fault

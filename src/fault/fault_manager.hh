@@ -112,7 +112,6 @@ class FaultManager : public Auditable
     void restoreCkpt(ckpt::ChunkReader &r);
     /** @} */
 
-    std::string_view auditName() const override { return "fault"; }
     void audit() const override;
 
   private:

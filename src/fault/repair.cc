@@ -6,7 +6,7 @@
 #include "repair.hh"
 
 #include "ckpt/ckpt.hh"
-#include "common/check.hh"
+#include "common/logging.hh"
 
 namespace rrm::fault
 {
@@ -42,8 +42,8 @@ void
 EcpRepair::audit() const
 {
     for (const auto &[line, used] : used_) {
-        RRM_AUDIT(used > 0 && used <= budget_, "line ", line,
-                  " carries an out-of-budget ECP count ", used);
+        RRM_ASSERT(used > 0 && used <= budget_, "line ", line,
+                   " carries an out-of-budget ECP count ", used);
     }
 }
 
@@ -53,15 +53,15 @@ LineRetirement::LineRetirement(std::uint64_t memory_bytes,
     : blockBytes_(block_bytes), spareBlocks_(spare_blocks),
       spareBase_(memory_bytes - spare_blocks * block_bytes)
 {
-    RRM_CHECK(block_bytes > 0, "retirement block size must be > 0");
-    RRM_CHECK(spare_blocks * block_bytes <= memory_bytes,
-              "spare pool larger than memory");
+    RRM_ASSERT(block_bytes > 0, "retirement block size must be > 0");
+    RRM_ASSERT(spare_blocks * block_bytes <= memory_bytes,
+               "spare pool larger than memory");
 }
 
 bool
 LineRetirement::retire(Addr line)
 {
-    RRM_CHECK(!isRetired(line), "line ", line, " retired twice");
+    RRM_ASSERT(!isRetired(line), "line ", line, " retired twice");
     if (nextSpare_ >= spareBlocks_)
         return false;
     map_[line] = spareBase_ + nextSpare_ * blockBytes_;
@@ -102,15 +102,15 @@ LineRetirement::restoreCkpt(ckpt::ChunkReader &r)
 void
 LineRetirement::audit() const
 {
-    RRM_AUDIT(map_.size() == nextSpare_,
-              "retirement map size ", map_.size(),
-              " disagrees with spares handed out ", nextSpare_);
+    RRM_ASSERT(map_.size() == nextSpare_,
+               "retirement map size ", map_.size(),
+               " disagrees with spares handed out ", nextSpare_);
     for (const auto &[line, spare] : map_) {
-        RRM_AUDIT(spare >= spareBase_ &&
-                      spare < spareBase_ + spareBlocks_ * blockBytes_,
-                  "retired line ", line, " mapped outside the spare "
-                  "pool");
-        RRM_AUDIT(line != spare, "line retired onto itself");
+        RRM_ASSERT(spare >= spareBase_ &&
+                       spare < spareBase_ + spareBlocks_ * blockBytes_,
+                   "retired line ", line, " mapped outside the spare "
+                   "pool");
+        RRM_ASSERT(line != spare, "line retired onto itself");
     }
 }
 

@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "ckpt/ckpt.hh"
-#include "common/check.hh"
+#include "common/logging.hh"
 
 namespace rrm::fault
 {
@@ -20,10 +20,10 @@ RetentionTracker::RetentionTracker(double time_scale,
     : timeScale_(time_scale), trackMaxSeconds_(track_max_seconds),
       slackTicks_(secondsToTicks(slack_seconds))
 {
-    RRM_CHECK(timeScale_ > 0.0, "retention tracker time scale must "
-                                "be > 0");
-    RRM_CHECK(trackMaxSeconds_ > 0.0, "retention tracking bound must "
-                                      "be > 0");
+    RRM_ASSERT(timeScale_ > 0.0, "retention tracker time scale must "
+                                 "be > 0");
+    RRM_ASSERT(trackMaxSeconds_ > 0.0, "retention tracking bound must "
+                                       "be > 0");
 }
 
 bool
@@ -162,8 +162,8 @@ RetentionTracker::audit() const
 {
     // Every live deadline must still be represented in the heap; the
     // heap may additionally hold stale (superseded) entries.
-    RRM_AUDIT(heap_.size() >= deadlines_.size(),
-              "retention heap lost live deadlines");
+    RRM_ASSERT(heap_.size() >= deadlines_.size(),
+               "retention heap lost live deadlines");
 }
 
 } // namespace rrm::fault

@@ -38,7 +38,7 @@ Channel::enqueueRead(Request req)
 {
     if (readQ_.size() >= params_.readQueueCap)
         return false;
-    RRM_DCHECK(req.kind == ReqKind::Read, "read queue got a ",
+    RRM_ASSERT(req.kind == ReqKind::Read, "read queue got a ",
                static_cast<int>(req.kind));
     req.enqueueTick = queue_.now();
     req.loc = map_.decode(req.addr);
@@ -79,7 +79,7 @@ Channel::enqueueWrite(Request req)
 {
     if (writeQ_.size() >= params_.writeQueueCap)
         return false;
-    RRM_DCHECK(req.kind == ReqKind::Write, "write queue got a ",
+    RRM_ASSERT(req.kind == ReqKind::Write, "write queue got a ",
                static_cast<int>(req.kind));
     req.enqueueTick = queue_.now();
     req.loc = map_.decode(req.addr);
@@ -99,7 +99,7 @@ Channel::enqueueRefresh(Request req)
 {
     if (refreshQ_.size() >= params_.refreshQueueCap)
         return false;
-    RRM_DCHECK(req.kind == ReqKind::RrmRefresh, "refresh queue got a ",
+    RRM_ASSERT(req.kind == ReqKind::RrmRefresh, "refresh queue got a ",
                static_cast<int>(req.kind));
     req.enqueueTick = queue_.now();
     req.loc = map_.decode(req.addr);
@@ -335,15 +335,15 @@ Channel::scheduleRetry(Tick when)
 void
 Channel::complete(const Request &req, Tick when)
 {
-    RRM_DCHECK(when >= req.enqueueTick,
+    RRM_ASSERT(when >= req.enqueueTick,
                "request completed before it was enqueued");
-    RRM_DCHECK(when >= lastCompletionTick_,
+    RRM_ASSERT(when >= lastCompletionTick_,
                "completion timestamps moved backwards: ", when, " < ",
                lastCompletionTick_);
     lastCompletionTick_ = when;
     ++retired_[static_cast<std::size_t>(req.kind)];
     if (req.kind == ReqKind::Read) {
-        RRM_CHECK(inflightReads_ > 0, "read retired with none in flight");
+        RRM_ASSERT(inflightReads_ > 0, "read retired with none in flight");
         --inflightReads_;
     }
     if (completionHook_)
@@ -472,22 +472,22 @@ Channel::audit() const
 {
     const Tick now = queue_.now();
 
-    RRM_AUDIT(readQ_.size() <= params_.readQueueCap, name_,
-              ": read queue above its cap");
-    RRM_AUDIT(writeQ_.size() <= params_.writeQueueCap, name_,
-              ": write queue above its cap");
-    RRM_AUDIT(refreshQ_.size() <= params_.refreshQueueCap, name_,
-              ": refresh queue above its cap");
+    RRM_ASSERT(readQ_.size() <= params_.readQueueCap, name_,
+               ": read queue above its cap");
+    RRM_ASSERT(writeQ_.size() <= params_.writeQueueCap, name_,
+               ": write queue above its cap");
+    RRM_ASSERT(refreshQ_.size() <= params_.refreshQueueCap, name_,
+               ": refresh queue above its cap");
 
     const auto auditQueue = [&](const std::deque<Request> &q,
                                 ReqKind kind, const char *qname) {
         for (const Request &req : q) {
-            RRM_AUDIT(req.kind == kind, name_, ": ", qname,
-                      " queue holds a request of kind ",
-                      static_cast<int>(req.kind));
-            RRM_AUDIT(req.enqueueTick <= now, name_, ": ", qname,
-                      " request enqueued in the future (",
-                      req.enqueueTick, " > ", now, ")");
+            RRM_ASSERT(req.kind == kind, name_, ": ", qname,
+                       " queue holds a request of kind ",
+                       static_cast<int>(req.kind));
+            RRM_ASSERT(req.enqueueTick <= now, name_, ": ", qname,
+                       " request enqueued in the future (",
+                       req.enqueueTick, " > ", now, ")");
         }
     };
     auditQueue(readQ_, ReqKind::Read, "read");
@@ -500,8 +500,8 @@ Channel::audit() const
         const Bank &bank = banks_[b];
         if (!bank.writing)
             continue;
-        RRM_AUDIT(bank.writePulseStart <= bank.busyUntil, name_,
-                  ": bank ", b, " pulse train ends before it starts");
+        RRM_ASSERT(bank.writePulseStart <= bank.busyUntil, name_,
+                   ": bank ", b, " pulse train ends before it starts");
         switch (bank.inflightWrite.kind) {
           case ReqKind::Write:
             ++inflight_writes;
@@ -510,8 +510,8 @@ Channel::audit() const
             ++inflight_refreshes;
             break;
           case ReqKind::Read:
-            RRM_AUDIT(false, name_, ": bank ", b,
-                      " is writing a read request");
+            RRM_ASSERT(false, name_, ": bank ", b,
+                       " is writing a read request");
             break;
         }
     }
@@ -519,22 +519,22 @@ Channel::audit() const
     const auto conserved = [&](ReqKind kind, std::uint64_t queued,
                                std::uint64_t inflight) {
         const auto k = static_cast<std::size_t>(kind);
-        RRM_AUDIT(enqueued_[k] == retired_[k] + queued + inflight, name_,
-                  ": request conservation broken for kind ",
-                  static_cast<int>(kind), ": enqueued ", enqueued_[k],
-                  " != retired ", retired_[k], " + queued ", queued,
-                  " + inflight ", inflight);
+        RRM_ASSERT(enqueued_[k] == retired_[k] + queued + inflight, name_,
+                   ": request conservation broken for kind ",
+                   static_cast<int>(kind), ": enqueued ", enqueued_[k],
+                   " != retired ", retired_[k], " + queued ", queued,
+                   " + inflight ", inflight);
     };
     conserved(ReqKind::Read, readQ_.size(), inflightReads_);
     conserved(ReqKind::Write, writeQ_.size(), inflight_writes);
     conserved(ReqKind::RrmRefresh, refreshQ_.size(), inflight_refreshes);
 
-    RRM_AUDIT(lastCompletionTick_ <= now, name_,
-              ": a completion was delivered in the future");
-    RRM_AUDIT(!retryPending_ || retryAt_ >= now, name_,
-              ": pending retry scheduled in the past");
-    RRM_AUDIT(!scanMemoValid_ || scanMemoTick_ <= now, name_,
-              ": scan memo recorded in the future");
+    RRM_ASSERT(lastCompletionTick_ <= now, name_,
+               ": a completion was delivered in the future");
+    RRM_ASSERT(!retryPending_ || retryAt_ >= now, name_,
+               ": pending retry scheduled in the past");
+    RRM_ASSERT(!scanMemoValid_ || scanMemoTick_ <= now, name_,
+               ": scan memo recorded in the future");
 }
 
 void

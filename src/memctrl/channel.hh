@@ -132,8 +132,6 @@ class Channel : public Auditable
     /** @} */
 
     // ---- Auditable ----
-    std::string_view auditName() const override { return name_; }
-
     /**
      * Invariants: request conservation (every accepted request is
      * retired, queued, or in flight at a bank — nothing lost or

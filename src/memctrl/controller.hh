@@ -104,8 +104,6 @@ class Controller : public Auditable
     /** @} */
 
     // ---- Auditable ----
-    std::string_view auditName() const override { return "memctrl"; }
-
     /** Deep-check every channel (see Channel::audit). */
     void
     audit() const override

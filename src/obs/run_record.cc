@@ -27,6 +27,12 @@ monotonicSeconds()
 {
     if (std::getenv("SOURCE_DATE_EPOCH") != nullptr)
         return 0.0;
+    return deadlineSeconds();
+}
+
+double
+deadlineSeconds()
+{
     const auto now = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(now.time_since_epoch())
         .count();

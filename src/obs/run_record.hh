@@ -31,18 +31,25 @@ namespace rrm::obs
 std::int64_t wallClockSeconds();
 
 /**
- * Monotonic host time in seconds, for measuring durations (run wall
- * time, events/sec, timeouts). Under SOURCE_DATE_EPOCH this returns
+ * Monotonic host time in seconds, for measuring reported durations
+ * (run wall time, events/sec). Under SOURCE_DATE_EPOCH this returns
  * 0.0 unconditionally, so every derived duration and rate collapses
  * to zero and seeded determinism harnesses stay byte-identical across
- * machines and --jobs settings (wall timeouts are then inert, which
- * pinned runs never rely on).
+ * machines and --jobs settings.
  *
- * This is the simulator's only sanctioned monotonic-clock read
- * outside the self-profiler — rrm-lint's det-monotonic-clock rule
- * flags every other steady_clock/high_resolution_clock call site.
+ * This and deadlineSeconds() are the simulator's only sanctioned
+ * monotonic-clock reads outside the self-profiler — rrm-lint's
+ * det-monotonic-clock rule flags every other
+ * steady_clock/high_resolution_clock call site.
  */
 double monotonicSeconds();
+
+/**
+ * Monotonic host time in seconds that SOURCE_DATE_EPOCH does not pin,
+ * for wall-clock deadlines only, so a timeout still fires on a pinned
+ * run. Nothing derived from it may reach an output file.
+ */
+double deadlineSeconds();
 
 /** Schema version stamped into every exported run record. */
 constexpr int runRecordSchemaVersion = 1;

@@ -149,9 +149,9 @@ void
 WearTracker::audit() const
 {
     for (std::size_t c = 0; c < numWearCauses; ++c) {
-        RRM_AUDIT(totals_[c] >= auditedTotals_[c], "wear total for ",
-                  wearCauseName(static_cast<WearCause>(c)),
-                  " decreased: ", totals_[c], " < ", auditedTotals_[c]);
+        RRM_ASSERT(totals_[c] >= auditedTotals_[c], "wear total for ",
+                   wearCauseName(static_cast<WearCause>(c)),
+                   " decreased: ", totals_[c], " < ", auditedTotals_[c]);
         auditedTotals_[c] = totals_[c];
     }
 
@@ -166,12 +166,12 @@ WearTracker::audit() const
     // Region counters saturate at 2^32-1, so only a lower bound holds
     // once any region has pegged.
     if (saturated) {
-        RRM_AUDIT(region_sum <= tracked,
-                  "region wear sum ", region_sum,
-                  " exceeds tracked total ", tracked);
+        RRM_ASSERT(region_sum <= tracked,
+                   "region wear sum ", region_sum,
+                   " exceeds tracked total ", tracked);
     } else {
-        RRM_AUDIT(region_sum == tracked, "region wear sum ", region_sum,
-                  " != demand+refresh total ", tracked);
+        RRM_ASSERT(region_sum == tracked, "region wear sum ", region_sum,
+                   " != demand+refresh total ", tracked);
     }
 }
 

@@ -114,8 +114,6 @@ class WearTracker : public Auditable
     /** @} */
 
     // ---- Auditable ----
-    std::string_view auditName() const override { return "wear"; }
-
     /**
      * Invariants: per-cause totals never decrease between audits
      * (short of reset()), and the per-region counters sum to the

@@ -420,65 +420,65 @@ RegionMonitor::audit() const
         const Entry *base = &entries_[set * config_.assoc];
         for (unsigned w = 0; w < config_.assoc; ++w) {
             const Entry &e = base[w];
-            RRM_AUDIT(e.shortRetentionVector.size() ==
-                          config_.blocksPerRegion(),
-                      "entry (set ", set, " way ", w,
-                      ") vector width ", e.shortRetentionVector.size(),
-                      " != blocks per region ",
-                      config_.blocksPerRegion());
+            RRM_ASSERT(e.shortRetentionVector.size() ==
+                           config_.blocksPerRegion(),
+                       "entry (set ", set, " way ", w,
+                       ") vector width ", e.shortRetentionVector.size(),
+                       " != blocks per region ",
+                       config_.blocksPerRegion());
             if (!e.valid) {
-                RRM_AUDIT(!e.hot, "invalid entry (set ", set, " way ",
-                          w, ") is marked hot");
-                RRM_AUDIT(e.shortRetentionVector.none(),
-                          "invalid entry (set ", set, " way ", w,
-                          ") still holds vector bits");
+                RRM_ASSERT(!e.hot, "invalid entry (set ", set, " way ",
+                           w, ") is marked hot");
+                RRM_ASSERT(e.shortRetentionVector.none(),
+                           "invalid entry (set ", set, " way ", w,
+                           ") still holds vector bits");
                 continue;
             }
 
-            RRM_AUDIT(setOf(e.regionId) == set, "entry for region ",
-                      e.regionId, " stored in set ", set,
-                      " but indexes to set ", setOf(e.regionId));
-            RRM_AUDIT(e.dirtyWriteCounter <= config_.hotThreshold,
-                      "region ", e.regionId, " dirty_write_counter ",
-                      e.dirtyWriteCounter, " above hot_threshold ",
-                      config_.hotThreshold);
+            RRM_ASSERT(setOf(e.regionId) == set, "entry for region ",
+                       e.regionId, " stored in set ", set,
+                       " but indexes to set ", setOf(e.regionId));
+            RRM_ASSERT(e.dirtyWriteCounter <= config_.hotThreshold,
+                       "region ", e.regionId, " dirty_write_counter ",
+                       e.dirtyWriteCounter, " above hot_threshold ",
+                       config_.hotThreshold);
             if (e.hot) {
-                RRM_AUDIT(e.dirtyWriteCounter >=
-                              config_.hotThreshold / 2,
-                          "hot region ", e.regionId, " counter ",
-                          e.dirtyWriteCounter,
-                          " below half the promotion threshold — hot "
-                          "without ever reaching hot_threshold?");
+                RRM_ASSERT(e.dirtyWriteCounter >=
+                               config_.hotThreshold / 2,
+                           "hot region ", e.regionId, " counter ",
+                           e.dirtyWriteCounter,
+                           " below half the promotion threshold — hot "
+                           "without ever reaching hot_threshold?");
             } else {
-                RRM_AUDIT(e.shortRetentionVector.none(), "region ",
-                          e.regionId,
-                          " holds vector bits while not hot");
+                RRM_ASSERT(e.shortRetentionVector.none(), "region ",
+                           e.regionId,
+                           " holds vector bits while not hot");
             }
-            RRM_AUDIT(e.decayCounter < config_.decayTicksPerInterval,
-                      "region ", e.regionId, " decay_counter ",
-                      e.decayCounter, " outside its ",
-                      config_.decayTicksPerInterval, "-tick window");
-            RRM_AUDIT(e.lruStamp <= lruClock_, "region ", e.regionId,
-                      " LRU stamp ", e.lruStamp,
-                      " ahead of the LRU clock ", lruClock_);
+            RRM_ASSERT(e.decayCounter < config_.decayTicksPerInterval,
+                       "region ", e.regionId, " decay_counter ",
+                       e.decayCounter, " outside its ",
+                       config_.decayTicksPerInterval, "-tick window");
+            RRM_ASSERT(e.lruStamp <= lruClock_, "region ", e.regionId,
+                       " LRU stamp ", e.lruStamp,
+                       " ahead of the LRU clock ", lruClock_);
             vector_bits += e.shortRetentionVector.popcount();
 
             for (unsigned v = w + 1; v < config_.assoc; ++v) {
                 if (!base[v].valid)
                     continue;
-                RRM_AUDIT(base[v].regionId != e.regionId,
-                          "region ", e.regionId,
-                          " tracked twice in set ", set);
-                RRM_AUDIT(base[v].lruStamp != e.lruStamp,
-                          "duplicate LRU stamp ", e.lruStamp,
-                          " in set ", set, " (ways ", w, " and ", v,
-                          ")");
+                RRM_ASSERT(base[v].regionId != e.regionId,
+                           "region ", e.regionId,
+                           " tracked twice in set ", set);
+                RRM_ASSERT(base[v].lruStamp != e.lruStamp,
+                           "duplicate LRU stamp ", e.lruStamp,
+                           " in set ", set, " (ways ", w, " and ", v,
+                           ")");
             }
         }
     }
-    RRM_AUDIT(shortRetentionBlockCount() == vector_bits,
-              "shortRetentionBlockCount() ", shortRetentionBlockCount(),
-              " != recomputed vector popcount ", vector_bits);
+    RRM_ASSERT(shortRetentionBlockCount() == vector_bits,
+               "shortRetentionBlockCount() ", shortRetentionBlockCount(),
+               " != recomputed vector popcount ", vector_bits);
 }
 
 void

@@ -213,8 +213,6 @@ class RegionMonitor : public Auditable
     /** @} */
 
     // ---- Auditable ----
-    std::string_view auditName() const override { return "rrm"; }
-
     /**
      * Invariants (paper Section IV state machine):
      *  - dirty_write_counter never exceeds hot_threshold;

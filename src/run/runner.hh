@@ -13,7 +13,7 @@
  *
  * Shared process-global state the workers touch is thread-safe by
  * construction: the log sink and warn_once registry are mutexed, the
- * check-violation counters are atomic, and the static
+ * warn and panic counters are atomic, and the static
  * workload/write-mode tables are immutable after their (thread-safe)
  * first-use initialization. See DESIGN.md section 9.
  */
@@ -63,7 +63,7 @@ class Runner
 
     /**
      * Validate and execute the plan; returns the plan-order report.
-     * Run failures (FatalError, CheckError, any std::exception) are
+     * Run failures (FatalError, PanicError, any std::exception) are
      * captured per run, never thrown; plan-level validation failures
      * throw FatalError before anything executes.
      */

@@ -237,9 +237,9 @@ EventQueue::step()
 void
 EventQueue::audit() const
 {
-    RRM_AUDIT(now_ >= lastAuditedNow_,
-              "simulated time moved backwards: now=", now_,
-              " previously audited=", lastAuditedNow_);
+    RRM_ASSERT(now_ >= lastAuditedNow_,
+               "simulated time moved backwards: now=", now_,
+               " previously audited=", lastAuditedNow_);
     lastAuditedNow_ = now_;
 
     std::vector<bool> queued(pool_.size(), false);
@@ -248,27 +248,25 @@ EventQueue::audit() const
 
     const auto checkEntry = [&](const QEntry &e, const char *where) {
         ++entries;
-        RRM_AUDIT(e.slot < pool_.size(), where, " entry references ",
-                  "slot ", e.slot, " outside the arena");
-        if (e.slot >= pool_.size())
-            return;
-        RRM_AUDIT(!queued[e.slot], "arena slot ", e.slot,
-                  " is referenced by more than one queue entry");
+        RRM_ASSERT(e.slot < pool_.size(), where, " entry references ",
+                   "slot ", e.slot, " outside the arena");
+        RRM_ASSERT(!queued[e.slot], "arena slot ", e.slot,
+                   " is referenced by more than one queue entry");
         queued[e.slot] = true;
         const Event &ev = pool_[e.slot];
-        RRM_AUDIT(ev.seq == e.seq && ev.when == e.when,
-                  where, " entry disagrees with its arena record ",
-                  "(slot ", e.slot, ")");
+        RRM_ASSERT(ev.seq == e.seq && ev.when == e.when,
+                   where, " entry disagrees with its arena record ",
+                   "(slot ", e.slot, ")");
         if (ev.cancelled) {
             ++cancelled_seen;
         } else {
-            RRM_AUDIT(e.when >= now_, "pending event in slot ", e.slot,
-                      " scheduled at ", e.when, " before now=", now_);
-            RRM_AUDIT(static_cast<bool>(ev.cb), "pending event in slot ",
-                      e.slot, " has a null callback");
+            RRM_ASSERT(e.when >= now_, "pending event in slot ", e.slot,
+                       " scheduled at ", e.when, " before now=", now_);
+            RRM_ASSERT(static_cast<bool>(ev.cb), "pending event in slot ",
+                       e.slot, " has a null callback");
         }
-        RRM_AUDIT(ev.seq < nextSeq_, where, " entry sequence ", e.seq,
-                  " was never issued (nextSeq=", nextSeq_, ")");
+        RRM_ASSERT(ev.seq < nextSeq_, where, " entry sequence ", e.seq,
+                   " was never issued (nextSeq=", nextSeq_, ")");
     };
 
     const auto checkHeap = [&](const std::vector<QEntry> &heap,
@@ -276,18 +274,18 @@ EventQueue::audit() const
         for (std::size_t i = 0; i < heap.size(); ++i) {
             checkEntry(heap[i], where);
             if (i > 0) {
-                RRM_AUDIT(!heap[(i - 1) / 2].laterThan(heap[i]),
-                          where, " heap property violated at index ",
-                          i);
+                RRM_ASSERT(!heap[(i - 1) / 2].laterThan(heap[i]),
+                           where, " heap property violated at index ",
+                           i);
             }
         }
     };
 
     checkHeap(frontier_, "frontier");
     for (const QEntry &e : frontier_) {
-        RRM_AUDIT(e.when < frontierEnd_ || frontierEnd_ == maxTick,
-                  "frontier entry at ", e.when,
-                  " beyond the frontier boundary ", frontierEnd_);
+        RRM_ASSERT(e.when < frontierEnd_ || frontierEnd_ == maxTick,
+                   "frontier entry at ", e.when,
+                   " beyond the frontier boundary ", frontierEnd_);
     }
 
     std::size_t wheel_entries = 0;
@@ -295,51 +293,49 @@ EventQueue::audit() const
         for (const QEntry &e : buckets_[b]) {
             checkEntry(e, "wheel");
             ++wheel_entries;
-            RRM_AUDIT(bucketIndex(e.when) == b, "wheel entry at ",
-                      e.when, " hashed into the wrong bucket ", b);
-            RRM_AUDIT(e.when >= frontierEnd_ &&
-                          e.when - frontierEnd_ < kWheelSpan,
-                      "wheel entry at ", e.when,
-                      " outside the wheel window starting at ",
-                      frontierEnd_);
+            RRM_ASSERT(bucketIndex(e.when) == b, "wheel entry at ",
+                       e.when, " hashed into the wrong bucket ", b);
+            RRM_ASSERT(e.when >= frontierEnd_ &&
+                           e.when - frontierEnd_ < kWheelSpan,
+                       "wheel entry at ", e.when,
+                       " outside the wheel window starting at ",
+                       frontierEnd_);
         }
     }
-    RRM_AUDIT(wheel_entries == wheelCount_, "wheel holds ",
-              wheel_entries, " entries but wheelCount_ says ",
-              wheelCount_);
+    RRM_ASSERT(wheel_entries == wheelCount_, "wheel holds ",
+               wheel_entries, " entries but wheelCount_ says ",
+               wheelCount_);
 
     checkHeap(overflow_, "overflow");
     for (const QEntry &e : overflow_) {
-        RRM_AUDIT(e.when >= frontierEnd_ &&
-                      e.when - frontierEnd_ >= kWheelSpan,
-                  "overflow entry at ", e.when,
-                  " inside the wheel horizon starting at ",
-                  frontierEnd_);
+        RRM_ASSERT(e.when >= frontierEnd_ &&
+                       e.when - frontierEnd_ >= kWheelSpan,
+                   "overflow entry at ", e.when,
+                   " inside the wheel horizon starting at ",
+                   frontierEnd_);
     }
 
-    RRM_AUDIT(entries == live_ + cancelledPending_,
-              "queue holds ", entries, " entries but live=", live_,
-              " + cancelled=", cancelledPending_, " disagree");
-    RRM_AUDIT(cancelled_seen == cancelledPending_,
-              "found ", cancelled_seen, " cancelled entries but ",
-              "cancelledPending_ says ", cancelledPending_);
+    RRM_ASSERT(entries == live_ + cancelledPending_,
+               "queue holds ", entries, " entries but live=", live_,
+               " + cancelled=", cancelledPending_, " disagree");
+    RRM_ASSERT(cancelled_seen == cancelledPending_,
+               "found ", cancelled_seen, " cancelled entries but ",
+               "cancelledPending_ says ", cancelledPending_);
 
     // The freelist and the queued slots must tile the arena exactly.
     std::size_t free_count = 0;
     for (std::uint32_t s = freeHead_;
          s != EventHandle::invalidSlot && free_count <= pool_.size();
          s = pool_[s].next) {
-        RRM_AUDIT(s < pool_.size(), "freelist references slot ", s,
-                  " outside the arena");
-        if (s >= pool_.size())
-            break;
-        RRM_AUDIT(!queued[s], "arena slot ", s,
-                  " is both queued and on the freelist");
+        RRM_ASSERT(s < pool_.size(), "freelist references slot ", s,
+                   " outside the arena");
+        RRM_ASSERT(!queued[s], "arena slot ", s,
+                   " is both queued and on the freelist");
         ++free_count;
     }
-    RRM_AUDIT(free_count + entries == pool_.size(), "arena has ",
-              pool_.size(), " slots but ", free_count, " free + ",
-              entries, " queued");
+    RRM_ASSERT(free_count + entries == pool_.size(), "arena has ",
+               pool_.size(), " slots but ", free_count, " free + ",
+               entries, " queued");
 }
 
 PeriodicTask::PeriodicTask(EventQueue &queue, Tick period, Tick first,

@@ -226,8 +226,6 @@ class EventQueue : public Auditable
     void setTelemetry(const EventQueueTelemetry *t) { telemetry_ = t; }
 
     // ---- Auditable ----
-    std::string_view auditName() const override { return "eventQueue"; }
-
     /**
      * Invariants: simulated time never decreases across audits, every
      * pending event is scheduled at or after now(), the frontier and

@@ -9,14 +9,11 @@
 #include <sstream>
 
 #include "common/atomic_file.hh"
-
-#include "common/auditable.hh"
 #include "common/interrupt.hh"
 #include "common/logging.hh"
 #include "obs/perfetto.hh"
 #include "obs/run_record.hh"
 #include "obs/stat_writers.hh"
-#include "stats/check_stats.hh"
 
 namespace rrm::sys
 {
@@ -246,9 +243,9 @@ System::System(SystemConfig config)
     writePath_->regStats(g);
     statAuditRounds_ =
         &g.addScalar("auditRounds", "deep-audit rounds executed");
-    statAuditViolations_ = &g.addScalar(
-        "auditViolations", "invariant violations found by audits");
-    stats::registerCheckViolationStats(statRoot_);
+    statRoot_.addChild("checks").addFormula(
+        "totalViolations", "panics (failed RRM_ASSERTs) in this process",
+        [] { return static_cast<double>(log_detail::panicCount()); });
 
     if (!meas_.tenants.empty()) {
         // Per-tenant window counters: formulas over the Measurement
@@ -694,19 +691,16 @@ System::runAudits()
     RRM_PROFILE(selfProfiler_.get(), "audit");
     if (statAuditRounds_)
         ++*statAuditRounds_;
-    std::uint64_t violations = 0;
-    violations += runAudit(queue_);
-    violations += runAudit(*hierarchy_);
-    violations += runAudit(*controller_);
-    violations += runAudit(*writePath_);
+    queue_.audit();
+    hierarchy_->audit();
+    controller_->audit();
+    writePath_->audit();
     if (const auto *mon = policy_->monitor())
-        violations += runAudit(*mon);
+        mon->audit();
     if (faultMgr_)
-        violations += runAudit(*faultMgr_);
-    violations += runAudit(wear_);
-    if (violations && statAuditViolations_)
-        *statAuditViolations_ += static_cast<double>(violations);
-    return violations;
+        faultMgr_->audit();
+    wear_.audit();
+    return 0;
 }
 
 void
@@ -719,7 +713,7 @@ System::runSlice(Tick until)
                                     ? config_.auditEveryEvents
                                     : (std::uint64_t{1} << 20);
     for (;;) {
-        if (timed && obs::monotonicSeconds() >= runDeadline_) {
+        if (timed && obs::deadlineSeconds() >= runDeadline_) {
             throw SimTimeoutError(
                 "run exceeded its wall-clock timeout of " +
                 std::to_string(config_.wallTimeoutSeconds) + " s");
@@ -747,7 +741,7 @@ System::run()
 
     if (config_.wallTimeoutSeconds > 0.0) {
         runDeadline_ =
-            obs::monotonicSeconds() + config_.wallTimeoutSeconds;
+            obs::deadlineSeconds() + config_.wallTimeoutSeconds;
     }
 
     bool resumed = false;

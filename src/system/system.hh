@@ -182,9 +182,8 @@ struct SystemConfig
      * Deep-audit cadence: after every `auditEveryEvents` executed
      * events, run the audit() of every Auditable component (event
      * queue, cache hierarchy, memory controller, RRM, write path,
-     * wear tracker). 0 disables periodic audits. Violations follow
-     * the global check::FailurePolicy and are exported via the
-     * "checks" and "sys.audit*" stats.
+     * wear tracker). 0 disables periodic audits. The first violated
+     * invariant panics; "sys.auditRounds" counts the rounds run.
      */
     std::uint64_t auditEveryEvents = 0;
 
@@ -259,8 +258,7 @@ class System : public cpu::CorePort
     /**
      * Deep-audit every component now (also runs periodically when
      * SystemConfig::auditEveryEvents > 0).
-     * @return Violations recorded by this round (always 0 under
-     *         FailurePolicy::Throw/Abort — the first one escapes).
+     * @return Always 0: the first violated invariant panics instead.
      */
     std::uint64_t runAudits();
 
@@ -414,7 +412,7 @@ class System : public cpu::CorePort
     // event's capture is state no checkpoint section covers).
     unsigned pendingWritebackEvents_ = 0;
 
-    // Wall-clock deadline for run(), in obs::monotonicSeconds()
+    // Wall-clock deadline for run(), in obs::deadlineSeconds()
     // terms (wallTimeoutSeconds > 0).
     double runDeadline_ = 0.0;
 
@@ -441,7 +439,6 @@ class System : public cpu::CorePort
 
     stats::Scalar *statFillRefusals_ = nullptr;
     stats::Scalar *statAuditRounds_ = nullptr;
-    stats::Scalar *statAuditViolations_ = nullptr;
 };
 
 } // namespace rrm::sys

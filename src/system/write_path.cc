@@ -89,10 +89,10 @@ WritePath::scheduleRefreshRetry()
 void
 WritePath::audit() const
 {
-    RRM_AUDIT(!writebacks_.draining() && !refreshOverflow_.draining(),
-              "drain guard left set outside a drain loop");
-    RRM_AUDIT(refreshOverflow_.empty() || refreshRetryPending_,
-              "deferred refreshes without an armed retry");
+    RRM_ASSERT(!writebacks_.draining() && !refreshOverflow_.draining(),
+               "drain guard left set outside a drain loop");
+    RRM_ASSERT(refreshOverflow_.empty() || refreshRetryPending_,
+               "deferred refreshes without an armed retry");
 }
 
 } // namespace rrm::sys

@@ -127,8 +127,6 @@ class WritePath : public Auditable
     }
 
     // ---- Auditable ----
-    std::string_view auditName() const override { return "writePath"; }
-
     /**
      * Invariants:
      *  - no drain guard is left set outside a drain loop;

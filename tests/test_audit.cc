@@ -1,10 +1,10 @@
 /**
  * @file
  * Deep-audit tests: healthy components must pass their audit() with
- * zero violations, and deliberately corrupted state (seeded through
- * the test-only backdoors) must be caught. If an invariant check is
- * removed from an audit implementation, the corruption test for it
- * fails loudly.
+ * no panic, and deliberately corrupted state (seeded through the
+ * test-only backdoors) must make audit() panic naming the broken
+ * invariant. If an invariant check is removed from an audit
+ * implementation, the corruption test for it fails loudly.
  */
 
 #include <gtest/gtest.h>
@@ -12,28 +12,21 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
-#include "common/auditable.hh"
 #include "common/random.hh"
 #include "pcm/wear_tracker.hh"
 #include "rrm/region_monitor.hh"
 #include "sim/event_queue.hh"
 #include "system/system.hh"
+#include "test_support.hh"
 
 namespace rrm
 {
 namespace
 {
 
-using check::FailurePolicy;
-using check::ScopedFailurePolicy;
+using test::expectPanicMentioning;
 
-/** Audits run under LogAndCount so runAudit() can report a count. */
-class AuditTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override { check::resetViolations(); }
-    void TearDown() override { check::resetViolations(); }
-};
+using AuditTest = ::testing::Test;
 
 // ---------------------------------------------------------------------
 // RegionMonitor
@@ -72,9 +65,8 @@ struct RrmFixture
 
 TEST_F(AuditTest, HealthyRegionMonitorPassesAudit)
 {
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     RrmFixture f;
-    EXPECT_EQ(runAudit(f.rrm), 0u);
+    EXPECT_NO_THROW(f.rrm.audit());
 
     // Populate: cold entries, a hot entry with vector bits, decay.
     f.dirtyWrites(0x1000, 1);
@@ -82,64 +74,60 @@ TEST_F(AuditTest, HealthyRegionMonitorPassesAudit)
     f.dirtyWrites(0x5040, 2);
     f.rrm.runDecayTick();
     ASSERT_TRUE(f.rrm.isHot(0x5000));
-    EXPECT_EQ(runAudit(f.rrm), 0u);
+    EXPECT_NO_THROW(f.rrm.audit());
 }
 
 TEST_F(AuditTest, AuditCatchesCorruptDirtyWriteCounter)
 {
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     RrmFixture f;
     f.dirtyWrites(0x1000, 2);
     monitor::RegionMonitorTestAccess::corruptDirtyWriteCounter(
         f.rrm, 0x1000, f.cfg.hotThreshold + 5);
-    EXPECT_GT(runAudit(f.rrm), 0u);
+    expectPanicMentioning([&] { f.rrm.audit(); }, "above hot_threshold");
 }
 
 TEST_F(AuditTest, AuditCatchesCorruptHotFlag)
 {
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     RrmFixture f;
     // Hot with a dirty-write counter far below promotion level.
     f.dirtyWrites(0x1000, 1);
     monitor::RegionMonitorTestAccess::corruptHotFlag(f.rrm, 0x1000,
                                                      true);
-    EXPECT_GT(runAudit(f.rrm), 0u);
+    expectPanicMentioning([&] { f.rrm.audit(); },
+                          "below half the promotion threshold");
 }
 
 TEST_F(AuditTest, AuditCatchesVectorBitOnColdEntry)
 {
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     RrmFixture f;
     f.dirtyWrites(0x1000, 1);
     ASSERT_FALSE(f.rrm.isHot(0x1000));
     monitor::RegionMonitorTestAccess::corruptVectorBit(f.rrm, 0x1040);
-    EXPECT_GT(runAudit(f.rrm), 0u);
+    expectPanicMentioning([&] { f.rrm.audit(); },
+                          "holds vector bits while not hot");
 }
 
 TEST_F(AuditTest, AuditCatchesLruStampBeyondClock)
 {
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     RrmFixture f;
     f.dirtyWrites(0x1000, 1);
     // A stamp the LRU clock has never handed out.
     monitor::RegionMonitorTestAccess::corruptLruStamp(
         f.rrm, 0x1000, std::uint64_t(1) << 40);
-    EXPECT_GT(runAudit(f.rrm), 0u);
+    expectPanicMentioning([&] { f.rrm.audit(); }, "ahead of the LRU clock");
 }
 
 TEST_F(AuditTest, AuditCatchesCorruptDecayCounter)
 {
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     RrmFixture f;
     f.dirtyWrites(0x1000, 1);
     monitor::RegionMonitorTestAccess::corruptDecayCounter(
         f.rrm, 0x1000, f.cfg.decayTicksPerInterval + 1);
-    EXPECT_GT(runAudit(f.rrm), 0u);
+    expectPanicMentioning([&] { f.rrm.audit(); }, "-tick window");
 }
 
 TEST_F(AuditTest, AuditCatchesDuplicateLruStamps)
 {
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     RrmFixture f;
     // Two regions in the same set (4 KB regions, 4 sets: region ids
     // 1 and 5 both index set 1).
@@ -147,27 +135,16 @@ TEST_F(AuditTest, AuditCatchesDuplicateLruStamps)
     f.dirtyWrites(0x5000, 1);
     monitor::RegionMonitorTestAccess::corruptLruStamp(f.rrm, 0x1000, 1);
     monitor::RegionMonitorTestAccess::corruptLruStamp(f.rrm, 0x5000, 1);
-    EXPECT_GT(runAudit(f.rrm), 0u);
+    expectPanicMentioning([&] { f.rrm.audit(); }, "duplicate LRU stamp");
 }
 
 TEST_F(AuditTest, AuditCatchesEntryInWrongSet)
 {
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     RrmFixture f;
     f.dirtyWrites(0x1000, 1);
     // Region id 2 indexes set 2, but the entry lives in set 1.
     monitor::RegionMonitorTestAccess::corruptRegionId(f.rrm, 0x1000, 2);
-    EXPECT_GT(runAudit(f.rrm), 0u);
-}
-
-TEST_F(AuditTest, RegionMonitorCorruptionThrowsUnderThrowPolicy)
-{
-    ScopedFailurePolicy policy(FailurePolicy::Throw);
-    RrmFixture f;
-    f.dirtyWrites(0x1000, 1);
-    monitor::RegionMonitorTestAccess::corruptHotFlag(f.rrm, 0x1000,
-                                                     true);
-    EXPECT_THROW(f.rrm.audit(), check::CheckError);
+    expectPanicMentioning([&] { f.rrm.audit(); }, "but indexes to set");
 }
 
 // ---------------------------------------------------------------------
@@ -176,17 +153,16 @@ TEST_F(AuditTest, RegionMonitorCorruptionThrowsUnderThrowPolicy)
 
 TEST_F(AuditTest, EventQueuePassesAuditWhilePendingAndAfterRun)
 {
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     EventQueue q;
     int fired = 0;
     for (int i = 0; i < 32; ++i)
         q.schedule(Tick(100 + 13 * i), [&fired] { ++fired; });
-    EXPECT_EQ(runAudit(q), 0u);
+    EXPECT_NO_THROW(q.audit());
     q.run(Tick(250));
-    EXPECT_EQ(runAudit(q), 0u);
+    EXPECT_NO_THROW(q.audit());
     q.run();
     EXPECT_EQ(fired, 32);
-    EXPECT_EQ(runAudit(q), 0u);
+    EXPECT_NO_THROW(q.audit());
 }
 
 TEST_F(AuditTest, EventQueueRunHonoursEventCap)
@@ -206,7 +182,6 @@ TEST_F(AuditTest, EventQueueRunHonoursEventCap)
 
 TEST_F(AuditTest, WearTrackerPassesAuditUnderTraffic)
 {
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     pcm::WearTracker wear(1_MiB, 4_KiB, 64);
     Random rng(11);
     for (int i = 0; i < 2000; ++i) {
@@ -216,12 +191,11 @@ TEST_F(AuditTest, WearTrackerPassesAuditUnderTraffic)
                                         : pcm::WearCause::DemandWrite);
     }
     wear.recordGlobalRefresh(500);
-    EXPECT_EQ(runAudit(wear), 0u);
+    EXPECT_NO_THROW(wear.audit());
 }
 
 TEST_F(AuditTest, CacheHierarchyPassesAuditUnderRandomTraffic)
 {
-    ScopedFailurePolicy policy(FailurePolicy::LogAndCount);
     cache::HierarchyConfig cfg;
     cfg.numCores = 2;
     cfg.l1.name = "l1";
@@ -242,10 +216,10 @@ TEST_F(AuditTest, CacheHierarchyPassesAuditUnderRandomTraffic)
         if (h.access(core, addr, is_write).llcMiss)
             h.fill(core, addr, is_write);
         if (i % 500 == 0) {
-            ASSERT_EQ(runAudit(h), 0u) << "iteration " << i;
+            ASSERT_NO_THROW(h.audit()) << "iteration " << i;
         }
     }
-    EXPECT_EQ(runAudit(h), 0u);
+    EXPECT_NO_THROW(h.audit());
 }
 
 // ---------------------------------------------------------------------
@@ -268,8 +242,6 @@ auditedConfig(std::uint64_t audit_every)
 
 TEST_F(AuditTest, SystemRunsCleanWithAggressiveAuditCadence)
 {
-    // Throw policy: any invariant violation fails this test.
-    ScopedFailurePolicy policy(FailurePolicy::Throw);
     sys::System system(auditedConfig(200));
     const sys::SimResults r = system.run();
     EXPECT_GT(r.totalInstructions, 0u);
@@ -278,7 +250,6 @@ TEST_F(AuditTest, SystemRunsCleanWithAggressiveAuditCadence)
 
 TEST_F(AuditTest, PeriodicAuditsDoNotPerturbTheSimulation)
 {
-    ScopedFailurePolicy policy(FailurePolicy::Throw);
     sys::System audited(auditedConfig(500));
     sys::System plain(auditedConfig(0));
     const sys::SimResults a = audited.run();

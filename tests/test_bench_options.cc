@@ -4,7 +4,8 @@
  * numeric flag goes through one checked parser, so a malformed value
  * is a fatal error naming the flag and the value instead of a silent
  * 0 or a wrapped-around unsigned. Scheme names are checked at parse
- * time, and checkpoint and timeout flags reach SystemConfig::validate.
+ * time, --schemes is refused by a bench that would ignore it, and
+ * checkpoint and timeout flags reach SystemConfig::validate.
  */
 
 #include <gtest/gtest.h>
@@ -22,14 +23,14 @@ namespace
 {
 
 BenchOptions
-parseArgs(std::vector<std::string> args)
+parseArgs(std::vector<std::string> args, bool reads_schemes = false)
 {
     args.insert(args.begin(), "bench");
     std::vector<char *> argv;
     for (std::string &a : args)
         argv.push_back(a.data());
-    return BenchOptions::parse(static_cast<int>(argv.size()),
-                               argv.data());
+    return BenchOptions::parse(static_cast<int>(argv.size()), argv.data(),
+                               reads_schemes);
 }
 
 /** parse() must fatal() with a message naming `flag` and `value`. */
@@ -108,7 +109,7 @@ TEST(BenchOptions, EveryNumericFlagIsChecked)
 TEST(BenchOptions, UnknownSchemeNameIsRejectedAtParse)
 {
     try {
-        parseArgs({"--schemes", "RRM,bogus"});
+        parseArgs({"--schemes", "RRM,bogus"}, /*reads_schemes=*/true);
         ADD_FAILURE() << "--schemes bogus was accepted";
     } catch (const FatalError &e) {
         const std::string msg = e.what();
@@ -116,8 +117,21 @@ TEST(BenchOptions, UnknownSchemeNameIsRejectedAtParse)
             << msg;
         EXPECT_NE(msg.find("valid: "), std::string::npos) << msg;
     }
-    EXPECT_EQ(parseArgs({"--schemes", "rrm,Static-7-SETs"}).schemes.size(),
+    EXPECT_EQ(parseArgs({"--schemes", "rrm,Static-7-SETs"}, true)
+                  .schemes.size(),
               2u);
+}
+
+TEST(BenchOptions, SchemesIsRejectedByABenchThatDoesNotReadIt)
+{
+    try {
+        parseArgs({"--schemes", "RRM"});
+        ADD_FAILURE() << "--schemes was accepted and would be ignored";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("does not take --schemes"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 /**

@@ -27,6 +27,7 @@
 #include "common/logging.hh"
 #include "run/runner.hh"
 #include "system/system.hh"
+#include "test_support.hh"
 
 namespace rrm::sys
 {
@@ -34,23 +35,12 @@ namespace
 {
 
 namespace fs = std::filesystem;
+using test::ScopedTempDir;
 
 // .rckpt framing constants (mirrors src/ckpt/ckpt.cc) used to compute
 // per-section payload offsets for targeted corruption.
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 8 + 8 + 4;
 constexpr std::size_t kSectionFrameSize = 4 + 8 + 4;
-
-/** Fresh empty directory under the system temp dir. */
-fs::path
-freshDir(const std::string &name)
-{
-    const fs::path dir = fs::temp_directory_path() /
-                         ("rrm_test_ckpt_" + std::to_string(::getpid()) +
-                          "_" + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
 
 std::string
 slurp(const fs::path &path)
@@ -278,7 +268,7 @@ TEST(CkptContainer, OlderFormatVersionIsRefusedByName)
         const std::size_t trailerAt = old.size() - 8;
         put32(trailerAt, ckpt::crc32(old.data(), trailerAt));
 
-        const fs::path dir = freshDir("old_version");
+        const ScopedTempDir dir("old_version");
         const fs::path path = dir / "ckpt-00000001.rckpt";
         {
             std::ofstream os(path, std::ios::binary);
@@ -298,7 +288,6 @@ TEST(CkptContainer, OlderFormatVersionIsRefusedByName)
                       std::string::npos)
                 << msg;
         }
-        fs::remove_all(dir);
     }
 }
 
@@ -308,7 +297,7 @@ TEST(CkptContainer, OlderFormatVersionIsRefusedByName)
 
 TEST_F(CkptResume, ConfigValidationRejectsInconsistentCheckpointing)
 {
-    const fs::path dir = freshDir("validate");
+    const ScopedTempDir dir("validate");
     SystemConfig cfg = ckptConfig(
         "lbm", Scheme::staticScheme(pcm::WriteMode::Sets7), dir,
         dir / "rec.json", /*faults=*/false);
@@ -356,8 +345,7 @@ class CkptResumePerScheme
 TEST_P(CkptResumePerScheme, ResumeFromEveryEpochIsByteIdentical)
 {
     const SchemeCase sc = scheme();
-    const fs::path ref_dir =
-        freshDir(std::string("identity_ref_") + sc.label);
+    const ScopedTempDir ref_dir(std::string("identity_ref_") + sc.label);
     const SystemConfig cfg =
         ckptConfig("lbm", sc.scheme, ref_dir, ref_dir / "rec.json",
                    /*faults=*/true);
@@ -372,9 +360,8 @@ TEST_P(CkptResumePerScheme, ResumeFromEveryEpochIsByteIdentical)
     // a middle, and the last epoch.
     const std::size_t picks[] = {1, ckpts.size() / 2 + 1, ckpts.size()};
     for (const std::size_t keep : picks) {
-        const fs::path dir = freshDir(std::string("identity_") +
-                                      sc.label + "_" +
-                                      std::to_string(keep));
+        const ScopedTempDir dir(std::string("identity_") + sc.label +
+                                "_" + std::to_string(keep));
         for (std::size_t i = 0; i < keep; ++i)
             fs::copy_file(ckpts[i], dir / ckpts[i].filename());
         const auto [record, epoch] =
@@ -395,7 +382,7 @@ INSTANTIATE_TEST_SUITE_P(Schemes, CkptResumePerScheme,
 
 TEST_F(CkptResume, FlippingOneByteInEachSectionInvalidatesTheFile)
 {
-    const fs::path dir = freshDir("flip_sections");
+    const ScopedTempDir dir("flip_sections");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), dir, dir / "rec.json",
                    /*faults=*/true);
@@ -430,7 +417,7 @@ TEST_F(CkptResume, FlippingOneByteInEachSectionInvalidatesTheFile)
 
 TEST_F(CkptResume, CorruptNewestFallsBackToPreviousCheckpoint)
 {
-    const fs::path ref_dir = freshDir("fallback_ref");
+    const ScopedTempDir ref_dir("fallback_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
                    ref_dir / "rec.json", /*faults=*/true);
@@ -440,7 +427,7 @@ TEST_F(CkptResume, CorruptNewestFallsBackToPreviousCheckpoint)
 
     // Newest checkpoint corrupted in place: resume must skip it with
     // a warning and restore the previous one — still byte-identical.
-    const fs::path dir = freshDir("fallback_corrupt");
+    const ScopedTempDir dir("fallback_corrupt");
     for (const fs::path &p : ckpts)
         fs::copy_file(p, dir / p.filename());
     std::vector<std::uint8_t> bytes =
@@ -456,7 +443,7 @@ TEST_F(CkptResume, CorruptNewestFallsBackToPreviousCheckpoint)
 
 TEST_F(CkptResume, TruncatedNewestFallsBackToPreviousCheckpoint)
 {
-    const fs::path ref_dir = freshDir("truncate_ref");
+    const ScopedTempDir ref_dir("truncate_ref");
     const SystemConfig cfg = ckptConfig(
         "lbm", Scheme::staticScheme(pcm::WriteMode::Sets7), ref_dir,
         ref_dir / "rec.json", /*faults=*/false);
@@ -464,7 +451,7 @@ TEST_F(CkptResume, TruncatedNewestFallsBackToPreviousCheckpoint)
     const std::vector<fs::path> ckpts = epochCheckpoints(ref_dir);
     ASSERT_GE(ckpts.size(), 2u);
 
-    const fs::path dir = freshDir("truncate");
+    const ScopedTempDir dir("truncate");
     for (const fs::path &p : ckpts)
         fs::copy_file(p, dir / p.filename());
     const fs::path newest = dir / ckpts.back().filename();
@@ -478,7 +465,7 @@ TEST_F(CkptResume, TruncatedNewestFallsBackToPreviousCheckpoint)
 
 TEST_F(CkptResume, AllCheckpointsCorruptMeansCleanColdStart)
 {
-    const fs::path ref_dir = freshDir("cold_ref");
+    const ScopedTempDir ref_dir("cold_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
                    ref_dir / "rec.json", /*faults=*/false);
@@ -486,7 +473,7 @@ TEST_F(CkptResume, AllCheckpointsCorruptMeansCleanColdStart)
     const std::vector<fs::path> ckpts = epochCheckpoints(ref_dir);
     ASSERT_GE(ckpts.size(), 1u);
 
-    const fs::path dir = freshDir("cold");
+    const ScopedTempDir dir("cold");
     std::vector<std::uint8_t> bytes = slurpBytes(ckpts.back());
     bytes[bytes.size() / 3] ^= 0xFF;
     writeBytes(dir / ckpts.back().filename(), bytes);
@@ -498,7 +485,7 @@ TEST_F(CkptResume, AllCheckpointsCorruptMeansCleanColdStart)
 
 TEST_F(CkptResume, FingerprintMismatchIsRejected)
 {
-    const fs::path ref_dir = freshDir("fp_ref");
+    const ScopedTempDir ref_dir("fp_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
                    ref_dir / "rec.json", /*faults=*/false);
@@ -517,7 +504,7 @@ TEST_F(CkptResume, FingerprintMismatchIsRejected)
 
 TEST_F(CkptResume, TimeoutChangeStillResumes)
 {
-    const fs::path ref_dir = freshDir("timeout_ref");
+    const ScopedTempDir ref_dir("timeout_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
                    ref_dir / "rec.json", /*faults=*/false);
@@ -542,7 +529,7 @@ TEST_F(CkptResume, TimeoutChangeStillResumes)
 
 TEST_F(CkptResume, KilledChildResumesByteIdentical)
 {
-    const fs::path ref_dir = freshDir("kill_ref");
+    const ScopedTempDir ref_dir("kill_ref");
     const SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), ref_dir,
                    ref_dir / "rec.json", /*faults=*/true);
@@ -553,8 +540,7 @@ TEST_F(CkptResume, KilledChildResumesByteIdentical)
     // Kill after the 1st, 2nd, and 3rd published checkpoint.
     for (const std::size_t target : {std::size_t{1}, std::size_t{2},
                                      std::size_t{3}}) {
-        const fs::path dir =
-            freshDir("kill_" + std::to_string(target));
+        const ScopedTempDir dir("kill_" + std::to_string(target));
         const pid_t pid = ::fork();
         ASSERT_GE(pid, 0) << "fork failed";
         if (pid == 0) {
@@ -604,7 +590,7 @@ TEST_F(CkptResume, KilledChildResumesByteIdentical)
 
 TEST_F(CkptResume, InterruptWritesValidEmergencyCheckpoint)
 {
-    const fs::path dir = freshDir("interrupt");
+    const ScopedTempDir dir("interrupt");
     SystemConfig cfg =
         ckptConfig("lbm", Scheme::rrmScheme(), dir, dir / "rec.json",
                    /*faults=*/false);
@@ -639,13 +625,10 @@ TEST_F(CkptResume, InterruptWritesValidEmergencyCheckpoint)
 
 TEST_F(CkptResume, RunnerCancelsCleanlyWhenInterruptedBeforeStart)
 {
+    const ScopedTempDir dir("runner_cancel");
     run::RunPlan plan;
-    {
-        const fs::path dir = freshDir("runner_cancel");
-        plan.add(ckptConfig("lbm",
-                            Scheme::staticScheme(pcm::WriteMode::Sets7),
-                            dir, dir / "rec.json", false));
-    }
+    plan.add(ckptConfig("lbm", Scheme::staticScheme(pcm::WriteMode::Sets7),
+                        dir, dir / "rec.json", false));
     requestInterrupt();
     run::RunnerOptions opts;
     opts.jobs = 1;

@@ -17,7 +17,6 @@
 #include <sstream>
 #include <vector>
 
-#include "common/check.hh"
 #include "common/logging.hh"
 #include "fault/fault_config.hh"
 #include "fault/fault_injector.hh"
@@ -27,6 +26,7 @@
 #include "rrm/region_monitor.hh"
 #include "rrm/rrm_config.hh"
 #include "run/runner.hh"
+#include "test_support.hh"
 
 namespace rrm::fault
 {
@@ -35,15 +35,7 @@ namespace
 
 namespace fs = std::filesystem;
 
-class FaultTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        check::setFailurePolicy(check::FailurePolicy::Throw);
-    }
-};
+using FaultTest = ::testing::Test;
 
 // ---- RetentionTracker ----
 
@@ -227,7 +219,7 @@ TEST_F(FaultTest, DoubleRetireIsAContractViolation)
 {
     LineRetirement pool(1_MiB, 64, 4);
     EXPECT_TRUE(pool.retire(0x40));
-    EXPECT_THROW(pool.retire(0x40), check::CheckError);
+    EXPECT_THROW(pool.retire(0x40), PanicError);
 }
 
 // ---- FaultConfig validation ----
@@ -517,9 +509,7 @@ TEST_F(FaultTest, InjectedStallsTriggerTheFallbackGovernor)
 TEST_F(FaultTest, FaultStatsAreByteIdenticalAcrossWorkerCounts)
 {
     ::setenv("SOURCE_DATE_EPOCH", "0", 1);
-    const fs::path base =
-        fs::temp_directory_path() / "rrm_test_fault_det";
-    fs::remove_all(base);
+    const test::ScopedTempDir base("fault_det");
 
     const auto planFor = [&](const std::string &sub) {
         fs::create_directories(base / sub);
@@ -569,7 +559,6 @@ TEST_F(FaultTest, FaultStatsAreByteIdenticalAcrossWorkerCounts)
                   slurp(base / "parallel" / (a.runs[i].id + ".json")))
             << a.runs[i].id;
     }
-    fs::remove_all(base);
 }
 
 // ---- Runner timeouts ----

@@ -12,14 +12,15 @@
 
 #include "cache/hierarchy.hh"
 #include "ckpt/ckpt.hh"
-#include "common/auditable.hh"
-#include "common/check.hh"
 #include "common/random.hh"
+#include "test_support.hh"
 
 namespace rrm::cache
 {
 namespace
 {
+
+using test::expectPanicMentioning;
 
 /** A small hierarchy so evictions are easy to provoke. */
 HierarchyConfig
@@ -251,8 +252,6 @@ TEST(Hierarchy, CoresHavePrivateUpperLevels)
 
 TEST(Hierarchy, InclusionHoldsUnderRandomTraffic)
 {
-    check::resetViolations();
-    check::ScopedFailurePolicy policy(check::FailurePolicy::LogAndCount);
     CacheHierarchy h(tinyHierarchy());
     Random rng(1234);
     for (int i = 0; i < 20000; ++i) {
@@ -262,10 +261,10 @@ TEST(Hierarchy, InclusionHoldsUnderRandomTraffic)
         if (h.access(core, addr, is_write).llcMiss)
             h.fill(core, addr, is_write);
         if (i % 1000 == 0) {
-            ASSERT_EQ(runAudit(h), 0u) << "iteration " << i;
+            ASSERT_NO_THROW(h.audit()) << "iteration " << i;
         }
     }
-    EXPECT_EQ(runAudit(h), 0u);
+    EXPECT_NO_THROW(h.audit());
 }
 
 /**
@@ -315,20 +314,6 @@ copyWithoutLine(const CacheHierarchy &h, unsigned which, Addr addr)
     return copy;
 }
 
-/** Run `op`; expect a PanicError whose message contains `what`. */
-template <typename Op>
-void
-expectPanicMentioning(Op &&op, const std::string &what)
-{
-    try {
-        op();
-        ADD_FAILURE() << "no panic; expected '" << what << "'";
-    } catch (const PanicError &e) {
-        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
-            << e.what();
-    }
-}
-
 /**
  * Seeded inclusion break, L2 over LLC: a dirty L2 line whose LLC copy
  * has vanished. The deep audit must report it, and the L2 eviction
@@ -348,13 +333,8 @@ TEST(Hierarchy, SeededL2OverLlcInclusionBreakIsCaught)
 
     const auto broken = copyWithoutLine(h, 4, 0); // 4 = the LLC
     ASSERT_FALSE(broken->llc().contains(0));
-    {
-        check::resetViolations();
-        check::ScopedFailurePolicy policy(
-            check::FailurePolicy::LogAndCount);
-        EXPECT_GE(runAudit(*broken), 1u);
-        check::resetViolations();
-    }
+    expectPanicMentioning([&] { broken->audit(); },
+                          "of core 0 absent from the LLC");
 
     // Blocks 4, 8 and 12 fill the rest of line 0's L2 set; block 16
     // then evicts line 0 (the LRU way) from L2.
@@ -377,13 +357,8 @@ TEST(Hierarchy, SeededL1OverL2InclusionBreakIsCaught)
 
     const auto broken = copyWithoutLine(h, 1, 0); // 1 = core 0's L2
     ASSERT_FALSE(broken->l2(0).contains(0));
-    {
-        check::resetViolations();
-        check::ScopedFailurePolicy policy(
-            check::FailurePolicy::LogAndCount);
-        EXPECT_GE(runAudit(*broken), 1u);
-        check::resetViolations();
-    }
+    expectPanicMentioning([&] { broken->audit(); },
+                          "of core 0 absent from L2");
 
     // Blocks 2, 6 and 10 fill the rest of line 0's L1 set (outside
     // its L2 set); block 14 evicts line 0 from L1.

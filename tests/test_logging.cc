@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -108,6 +109,68 @@ TEST(Logging, AssertMessageNamesCondition)
         EXPECT_NE(msg.find("2 < 1"), std::string::npos);
         EXPECT_NE(msg.find("two below one"), std::string::npos);
     }
+}
+
+TEST(Logging, AssertMessageNamesExpressionFileAndDetail)
+{
+    try {
+        RRM_ASSERT(2 + 2 == 5, "arithmetic is broken");
+        FAIL() << "RRM_ASSERT did not throw";
+    } catch (const PanicError &e) {
+        const std::string msg = e.what();
+        EXPECT_EQ(msg.rfind("panic: assertion '2 + 2 == 5' failed at ", 0),
+                  0u)
+            << msg;
+        EXPECT_NE(msg.find("test_logging.cc:"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(": arithmetic is broken"), std::string::npos)
+            << msg;
+    }
+}
+
+TEST(Logging, AssertStreamsDetailArguments)
+{
+    const int got = 7;
+    try {
+        RRM_ASSERT(got == 3, "got ", got, " expected ", 3);
+        FAIL() << "RRM_ASSERT did not throw";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("got 7 expected 3"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Logging, PassingAssertDoesNotCountAPanic)
+{
+    const auto before = log_detail::panicCount();
+    int evaluations = 0;
+    const auto holds = [&evaluations] {
+        ++evaluations;
+        return true;
+    };
+    RRM_ASSERT(holds(), "never shown");
+    EXPECT_EQ(evaluations, 1);
+    EXPECT_EQ(log_detail::panicCount(), before);
+}
+
+TEST(Logging, PanicCountCountsEveryFailedAssert)
+{
+    const auto before = log_detail::panicCount();
+    EXPECT_THROW(RRM_ASSERT(false), PanicError);
+    EXPECT_THROW(RRM_ASSERT(false, "second"), PanicError);
+    EXPECT_THROW(panic("direct"), PanicError);
+    EXPECT_EQ(log_detail::panicCount(), before + 3);
+}
+
+TEST(LoggingDeathTest, AbortOnPanicEnvAborts)
+{
+    // The variable is set in the death-test child only.
+    EXPECT_DEATH(
+        {
+            ::setenv("RRM_ABORT_ON_PANIC", "1", 1);
+            RRM_ASSERT(false, "fatal contract");
+        },
+        "fatal contract");
 }
 
 TEST(Logging, SinkReceivesWarnAndInform)

@@ -18,6 +18,7 @@
 
 #include "common/logging.hh"
 #include "run/runner.hh"
+#include "test_support.hh"
 
 namespace rrm::run
 {
@@ -163,9 +164,7 @@ TEST(Runner, SerialAndParallelOutputsAreByteIdentical)
     // Pin the run-record timestamp (reproducible-builds convention)
     // so the only possible difference is real nondeterminism.
     ::setenv("SOURCE_DATE_EPOCH", "0", 1);
-    const fs::path base =
-        fs::temp_directory_path() / "rrm_test_runner_det";
-    fs::remove_all(base);
+    const test::ScopedTempDir base("runner_det");
 
     const auto planFor = [&](const std::string &sub) {
         fs::create_directories(base / sub);
@@ -213,7 +212,6 @@ TEST(Runner, SerialAndParallelOutputsAreByteIdentical)
         EXPECT_FALSE(serial_record.empty()) << a.runs[i].id;
         EXPECT_EQ(serial_record, parallel_record) << a.runs[i].id;
     }
-    fs::remove_all(base);
 }
 
 TEST(Runner, PostRunHookSeesTheLiveSystem)

@@ -9,9 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <limits>
 
-#include "common/check.hh"
+#include "common/logging.hh"
 #include "common/math_util.hh"
 #include "system/system.hh"
 
@@ -212,12 +213,13 @@ TEST(SystemIntegration, FullReadQueuesBackOffAndRetry)
         cfg.memory.readQueueCap = read_queue_cap;
         return cfg;
     };
+    const std::uint64_t panics_before = log_detail::panicCount();
     System a(configFor(1));
     const SimResults ra = a.run();
     EXPECT_GT(ra.totalInstructions, 0u);
     EXPECT_GT(ra.memReads, 0u);
     EXPECT_EQ(a.runAudits(), 0u);
-    EXPECT_EQ(check::totalViolations(), 0u);
+    EXPECT_EQ(log_detail::panicCount(), panics_before);
 
     System b(configFor(1));
     const SimResults rb = b.run();
@@ -341,6 +343,29 @@ TEST(SystemIntegration, CountOnlyRefreshTimingStillCountsWear)
     const SimResults r = system.run();
     EXPECT_GT(r.rrmFastRefreshes, 0u);
     EXPECT_GT(r.rrmRefreshRate, 0.0);
+}
+
+TEST(SystemIntegration, FailedAssertRaisesChecksTotalViolations)
+{
+    System system(quickConfig("lbm", Scheme::rrmScheme()));
+    const auto *violations = dynamic_cast<const stats::Formula *>(
+        system.statRoot().find("checks.totalViolations"));
+    ASSERT_NE(violations, nullptr);
+    const double before = violations->value();
+    EXPECT_THROW(RRM_ASSERT(1 + 1 == 3, "seeded failure"), PanicError);
+    EXPECT_EQ(violations->value(), before + 1.0);
+}
+
+TEST(SystemIntegration, PinnedClockStillEnforcesTheWallTimeout)
+{
+    // SOURCE_DATE_EPOCH pins reported wall times to zero; the timeout
+    // must still read the host clock.
+    ::setenv("SOURCE_DATE_EPOCH", "0", 1);
+    SystemConfig cfg = quickConfig("lbm", Scheme::rrmScheme());
+    cfg.wallTimeoutSeconds = 1e-9;
+    System system(std::move(cfg));
+    EXPECT_THROW(system.run(), SimTimeoutError);
+    ::unsetenv("SOURCE_DATE_EPOCH");
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include "policy/tenant_qos_policy.hh"
 #include "system/fairness.hh"
 #include "system/system.hh"
+#include "test_support.hh"
 
 namespace rrm::sys
 {
@@ -28,6 +29,7 @@ namespace
 {
 
 namespace fs = std::filesystem;
+using test::ScopedTempDir;
 
 // ---- TenantLayout ----
 
@@ -348,17 +350,6 @@ TEST(TenantSystem, ValidationRejectsBadTenantGrouping)
 
 // ---- Checkpoint resume byte-identity under RRM-QoS ----
 
-fs::path
-freshDir(const std::string &name)
-{
-    const fs::path dir =
-        fs::temp_directory_path() /
-        ("rrm_test_tenant_" + std::to_string(::getpid()) + "_" + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
-
 std::string
 slurp(const fs::path &path)
 {
@@ -371,7 +362,7 @@ slurp(const fs::path &path)
 TEST(TenantCkpt, ResumeUnderRrmQosIsByteIdentical)
 {
     ::setenv("SOURCE_DATE_EPOCH", "1700000000", 1);
-    const fs::path ref_dir = freshDir("qos_ref");
+    const ScopedTempDir ref_dir("qos_ref");
     SystemConfig cfg = tenantQuickConfig(Scheme::rrmQosScheme());
     cfg.windowSeconds = 0.024;
     cfg.checkpointEveryEpochs = 1;
@@ -412,7 +403,7 @@ TEST(TenantCkpt, ResumeUnderRrmQosIsByteIdentical)
 TEST(TenantCkpt, TenantGroupingIsPartOfTheFingerprint)
 {
     ::setenv("SOURCE_DATE_EPOCH", "1700000000", 1);
-    const fs::path ref_dir = freshDir("qos_fp");
+    const ScopedTempDir ref_dir("qos_fp");
     SystemConfig cfg = tenantQuickConfig(Scheme::rrmQosScheme());
     cfg.checkpointEveryEpochs = 1;
     cfg.checkpointDir = ref_dir.string();
